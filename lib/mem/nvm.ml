@@ -1,24 +1,69 @@
 open Sweep_isa
 
-(* Word storage lives in a Bigarray so word reads/writes on the hot
-   path are plain unboxed int loads/stores with no GC involvement (the
-   16 MiB backing store would otherwise sit in the major heap and get
-   walked by the GC). *)
-type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(* Word storage is a page table: [page_count] slots of [page_words]-word
+   Bigarray pages (4 KiB of simulated address space each).  Every slot
+   starts out pointing at [zero_page], one all-zero page shared by every
+   [t] in the process, so building a machine costs one 4096-slot
+   pointer array instead of zero-filling 4 Mi words (32 MiB), and memory
+   grows with the pages a run actually writes.  Reads are branch-free
+   (page load, word load); writes test the slot against [zero_page] and
+   give it a fresh zeroed page on first touch.  Pages are Bigarrays so
+   their contents are never walked by the GC.
+
+   Two invariants keep the shared page safe:
+   - [zero_page] is never written: every store goes through
+     [writable_page], which replaces it before the store;
+   - a [t] is never marshalled: unmarshalling would copy [zero_page]
+     into a private page that is no longer [==] to it, and the first
+     write to one of those slots would then alias every other slot
+     sharing that copy.  Only job specs and result summaries cross the
+     wire and the result cache. *)
+type page = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
-  words : words;
+  pages : page array;
+  mutable resident : int;
   mutable read_events : int;
   mutable write_events : int;
   mutable bytes_written : int;
 }
 
+let page_shift = 10
+let page_words = 1 lsl page_shift
+let page_mask = page_words - 1
 let word_count = Layout.nvm_bytes / Layout.word_bytes
+let page_count = word_count / page_words
+
+let new_page () =
+  let p = Bigarray.Array1.create Bigarray.int Bigarray.c_layout page_words in
+  Bigarray.Array1.fill p 0;
+  p
+
+let zero_page = new_page ()
 
 let create () =
-  let words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout word_count in
-  Bigarray.Array1.fill words 0;
-  { words; read_events = 0; write_events = 0; bytes_written = 0 }
+  {
+    pages = Array.make page_count zero_page;
+    resident = 0;
+    read_events = 0;
+    write_events = 0;
+    bytes_written = 0;
+  }
+
+let resident_pages t = t.resident
+
+let[@inline never] touch_page t i =
+  let p = new_page () in
+  Array.unsafe_set t.pages i p;
+  t.resident <- t.resident + 1;
+  p
+
+(* The page holding word index [w], made private first if it is still
+   the shared zero page. *)
+let[@inline] writable_page t w =
+  let i = w lsr page_shift in
+  let p = Array.unsafe_get t.pages i in
+  if p != zero_page then p else touch_page t i
 
 let check_word_addr addr =
   if addr land (Layout.word_bytes - 1) <> 0 then
@@ -27,19 +72,26 @@ let check_word_addr addr =
     invalid_arg (Printf.sprintf "Nvm: address %#x out of range" addr)
 
 (* After [check_word_addr]/[check_line_addr] the word index is provably
-   inside [word_count], so the hot accessors skip the Bigarray bounds
-   check (it would re-test what the explicit check just established). *)
+   inside [word_count], so the page index is inside [page_count] and
+   the accessors skip both bounds checks.  A line is line-aligned and a
+   page is a whole number of lines, so a line never straddles pages. *)
+
+let get t w =
+  Bigarray.Array1.unsafe_get
+    (Array.unsafe_get t.pages (w lsr page_shift))
+    (w land page_mask)
 
 let read_word t addr =
   check_word_addr addr;
   t.read_events <- t.read_events + 1;
-  Bigarray.Array1.unsafe_get t.words (addr / Layout.word_bytes)
+  get t (addr / Layout.word_bytes)
 
 let write_word t addr v =
   check_word_addr addr;
   t.write_events <- t.write_events + 1;
   t.bytes_written <- t.bytes_written + Layout.word_bytes;
-  Bigarray.Array1.unsafe_set t.words (addr / Layout.word_bytes) v
+  let w = addr / Layout.word_bytes in
+  Bigarray.Array1.unsafe_set (writable_page t w) (w land page_mask) v
 
 let check_line_addr base =
   if base land (Layout.line_bytes - 1) <> 0 then
@@ -51,14 +103,16 @@ let read_line t base =
   check_line_addr base;
   t.read_events <- t.read_events + 1;
   let w = base / Layout.word_bytes in
-  Array.init Layout.words_per_line (fun k -> t.words.{w + k})
+  let p = Array.unsafe_get t.pages (w lsr page_shift) and o = w land page_mask in
+  Array.init Layout.words_per_line (fun k -> Bigarray.Array1.unsafe_get p (o + k))
 
 let read_line_into t base ~dst ~dst_pos =
   check_line_addr base;
   t.read_events <- t.read_events + 1;
   let w = base / Layout.word_bytes in
+  let p = Array.unsafe_get t.pages (w lsr page_shift) and o = w land page_mask in
   for k = 0 to Layout.words_per_line - 1 do
-    dst.(dst_pos + k) <- Bigarray.Array1.unsafe_get t.words (w + k)
+    dst.(dst_pos + k) <- Bigarray.Array1.unsafe_get p (o + k)
   done
 
 let write_line t base data =
@@ -67,8 +121,9 @@ let write_line t base data =
   t.write_events <- t.write_events + 1;
   t.bytes_written <- t.bytes_written + Layout.line_bytes;
   let w = base / Layout.word_bytes in
+  let p = writable_page t w and o = w land page_mask in
   for k = 0 to Layout.words_per_line - 1 do
-    t.words.{w + k} <- data.(k)
+    Bigarray.Array1.unsafe_set p (o + k) data.(k)
   done
 
 let write_line_from t base ~src ~src_pos =
@@ -76,8 +131,9 @@ let write_line_from t base ~src ~src_pos =
   t.write_events <- t.write_events + 1;
   t.bytes_written <- t.bytes_written + Layout.line_bytes;
   let w = base / Layout.word_bytes in
+  let p = writable_page t w and o = w land page_mask in
   for k = 0 to Layout.words_per_line - 1 do
-    Bigarray.Array1.unsafe_set t.words (w + k) src.(src_pos + k)
+    Bigarray.Array1.unsafe_set p (o + k) src.(src_pos + k)
   done
 
 let write_line_torn t base data ~words =
@@ -88,17 +144,19 @@ let write_line_torn t base data ~words =
   t.write_events <- t.write_events + 1;
   t.bytes_written <- t.bytes_written + (words * Layout.word_bytes);
   let w = base / Layout.word_bytes in
+  let p = writable_page t w and o = w land page_mask in
   for k = 0 to words - 1 do
-    t.words.{w + k} <- data.(k)
+    Bigarray.Array1.unsafe_set p (o + k) data.(k)
   done
 
 let peek_word t addr =
   check_word_addr addr;
-  t.words.{addr / Layout.word_bytes}
+  get t (addr / Layout.word_bytes)
 
 let poke_word t addr v =
   check_word_addr addr;
-  t.words.{addr / Layout.word_bytes} <- v
+  let w = addr / Layout.word_bytes in
+  Bigarray.Array1.unsafe_set (writable_page t w) (w land page_mask) v
 
 let read_events t = t.read_events
 let write_events t = t.write_events
@@ -114,7 +172,9 @@ let reset_counters t =
   t.bytes_written <- 0
 
 let image t ~lo ~hi =
-  check_word_addr lo;
-  check_word_addr hi;
+  if lo land (Layout.word_bytes - 1) <> 0 || hi land (Layout.word_bytes - 1) <> 0
+  then invalid_arg (Printf.sprintf "Nvm: unaligned image range [%#x, %#x)" lo hi);
+  if lo < 0 || lo > hi || hi > Layout.nvm_bytes then
+    invalid_arg (Printf.sprintf "Nvm: image range [%#x, %#x) out of range" lo hi);
   let w = lo / Layout.word_bytes in
-  Array.init ((hi - lo) / Layout.word_bytes) (fun k -> t.words.{w + k})
+  Array.init ((hi - lo) / Layout.word_bytes) (fun k -> get t (w + k))

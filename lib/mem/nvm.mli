@@ -12,7 +12,21 @@
 type t
 
 val create : unit -> t
-(** Fresh zeroed NVM of {!Sweep_isa.Layout.nvm_bytes}. *)
+(** Fresh zeroed NVM of {!Sweep_isa.Layout.nvm_bytes}, in O(pages) time
+    and without touching the address space: storage is a table of 4 KiB
+    pages whose slots all start at one shared, read-only zero page, and
+    a slot gets its own zeroed page on its first write (or poke).  Reads
+    never allocate.  The design depends on two invariants: the shared
+    zero page is never written, and a [t] is never marshalled (an
+    unmarshalled copy would turn the zero page into an ordinary page
+    aliased by every untouched slot, so one write would show up at all
+    of them). *)
+
+val resident_pages : t -> int
+(** Pages that have received their own storage, i.e. distinct 4 KiB
+    pages written (or poked) since {!create}.  Bounded by the touched
+    address range, not by {!Sweep_isa.Layout.nvm_bytes}; a regression
+    guard for setup paths that should stay O(touched state). *)
 
 val read_word : t -> int -> int
 (** [read_word t addr] with [addr] word-aligned.  Counts one read event. *)
@@ -63,4 +77,6 @@ val reset_counters : t -> unit
 
 val image : t -> lo:int -> hi:int -> int array
 (** Copy of the word contents of [\[lo, hi)] (byte bounds, aligned), for
-    golden-state comparison. *)
+    golden-state comparison.  [hi] may be {!Sweep_isa.Layout.nvm_bytes}.
+    @raise Invalid_argument unless both bounds are word-aligned and
+    [0 <= lo <= hi <= nvm_bytes]. *)

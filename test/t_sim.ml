@@ -187,9 +187,41 @@ let test_sweep_never_reexecutes_committed_work () =
   in
   Alcotest.(check bool) "re-execution under 5%" true (extra < 0.05)
 
+(* Machines must stay O(touched state): after a full harvested run the
+   NVM may only hold pages under the data segment and the checkpoint
+   array.  A setup or recovery path that fills or clears the whole
+   address space would make every page resident and fail here. *)
+let test_nvm_residency_bounded () =
+  let module Layout = Sweep_isa.Layout in
+  let prog =
+    Sweep_workloads.Workload.program ~scale:0.08
+      (Sweep_workloads.Registry.find "sha")
+  in
+  let page_bytes = 4096 in
+  let pages_spanned lo hi = ((hi - 1) / page_bytes) - (lo / page_bytes) + 1 in
+  List.iter
+    (fun design ->
+      let r = H.run design ~power:(Thelpers.harvested ()) prog in
+      let name = H.design_name design in
+      Alcotest.(check bool) (name ^ " completed") true r.H.outcome.Driver.completed;
+      let layout = r.H.compiled.Sweep_compiler.Pipeline.program.Sweep_isa.Program.layout in
+      let bound =
+        pages_spanned layout.Layout.data_base layout.Layout.data_limit
+        + pages_spanned layout.Layout.ckpt_base
+            (layout.Layout.ckpt_base + Layout.line_bytes)
+      in
+      let resident =
+        Sweep_mem.Nvm.resident_pages (Sweep_machine.Machine_intf.nvm r.H.machine)
+      in
+      if resident < 1 || resident > bound then
+        Alcotest.failf "%s: %d resident NVM pages, expected 1..%d" name resident
+          bound)
+    [ H.Sweep; H.Nvp ]
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "nvm residency bounded" `Quick test_nvm_residency_bounded;
       Alcotest.test_case "failed backups progress" `Quick
         test_failed_backups_still_progress;
       Alcotest.test_case "nvmr rollback cost" `Quick test_nvmr_rollback_reexecutes;
