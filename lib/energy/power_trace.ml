@@ -8,12 +8,28 @@ let kind_name = function
 
 let all_kinds = [ Rf_home; Rf_office; Solar; Thermal ]
 
+(* A trace is a view over a base sample grid: sample [i] is
+   [base.((i - shift) mod n) *. factor], zeroed when the dropout mask
+   ([Rng.nth_below ~seed:drop_seed i drop_frac]) fires — the canonical
+   shift → scale → drop pipeline, computed on read.  A trace straight
+   from [make]/[load_csv] is the same record with identity fields, so
+   jittering a 600k-sample base costs one record, not three copies.
+   [base] is shared (the experiment layer memoises it) and never
+   written after construction. *)
 type t = {
   kind : kind;
   dt_s : float;
-  samples : float array; (* watts *)
+  base : float array; (* watts *)
+  shift : int; (* in [0, n) *)
+  factor : float;
+  drop_frac : float; (* 0.0: no dropout *)
+  drop_seed : int;
   tag : string option; (* transform provenance, part of the power key *)
 }
+
+let of_base kind dt_s base =
+  { kind; dt_s; base; shift = 0; factor = 1.0; drop_frac = 0.0; drop_seed = 0;
+    tag = None }
 
 let dt_s = 1.0e-4 (* 100 us *)
 let duration_s = 60.0
@@ -73,36 +89,59 @@ let make ?(seed = 42) kind =
     gen_rf rng ~p_on_w:650.0e-6 ~mean_on_s:0.0015 ~mean_off_s:0.0020 samples
   | Solar -> gen_solar rng samples
   | Thermal -> gen_thermal rng samples);
-  { kind; dt_s; samples; tag = None }
+  of_base kind dt_s samples
 
 let kind t = t.kind
-
-let samples t = t.samples
+let length t = Array.length t.base
 let sample_dt t = t.dt_s
 let tag t = t.tag
 let with_tag t tag = { t with tag = Some tag }
+let base t = t.base
+let factor t = t.factor
+
+let source_index t i =
+  let k = i - t.shift in
+  if t.drop_frac > 0.0 && Sweep_util.Rng.nth_below ~seed:t.drop_seed i t.drop_frac
+  then -1
+  else if k < 0 then k + Array.length t.base
+  else k
+
+let[@inline] sample t i =
+  let k = source_index t i in
+  if k < 0 then 0.0 else t.base.(k) *. t.factor
+
+(* No transform is live: [base] is the trace. *)
+let flat t = t.shift = 0 && t.factor = 1.0 && t.drop_frac = 0.0
+
+let samples t = if flat t then t.base else Array.init (length t) (sample t)
 
 let power t time_s =
   let idx = int_of_float (time_s /. t.dt_s) in
-  let n = Array.length t.samples in
-  t.samples.(((idx mod n) + n) mod n)
+  let n = length t in
+  sample t (((idx mod n) + n) mod n)
 
 let mean_power t =
-  Array.fold_left ( +. ) 0.0 t.samples /. float_of_int (Array.length t.samples)
+  Array.fold_left ( +. ) 0.0 (samples t) /. float_of_int (length t)
 
 let duty_cycle t =
   let live =
-    Array.fold_left (fun acc p -> if p > 1.0e-6 then acc + 1 else acc) 0 t.samples
+    Array.fold_left (fun acc p -> if p > 1.0e-6 then acc + 1 else acc) 0 (samples t)
   in
-  float_of_int live /. float_of_int (Array.length t.samples)
+  float_of_int live /. float_of_int (length t)
 
 (* ---- validated transforms (the fleet jitter layer builds on these) ----
 
-   Every transform returns a fresh trace on the same 100 µs grid; the
-   input is never mutated.  Validation mirrors [load_csv]: a transform
-   that would shift timestamps negative (or otherwise break the
-   monotone zero-based grid the zero-order-hold lookup assumes) is a
+   Every transform returns a new trace on the same 100 µs grid; the
+   input is never mutated.  Applied in the canonical order (shift, then
+   scale, then drop, each at most once) a transform only sets its field
+   of the view, O(1).  Out of order or repeated, the input is first
+   materialised into a fresh base, so the result is exactly what
+   transforming a flat copy would give.  Validation mirrors [load_csv]:
+   a transform that would shift timestamps negative (or otherwise break
+   the monotone zero-based grid the zero-order-hold lookup assumes) is a
    [Failure], not a silent corruption. *)
+
+let materialise t = { (of_base t.kind t.dt_s (samples t)) with tag = t.tag }
 
 (* Rotate the trace right by [shift_s] seconds: the returned trace at
    time x reads the original at (x - shift_s), wrapping — timestamps
@@ -120,14 +159,11 @@ let time_shift t shift_s =
          "Power_trace.time_shift: negative shift %g would produce negative \
           timestamps"
          shift_s);
-  let n = Array.length t.samples in
-  let steps = int_of_float ((shift_s /. t.dt_s) +. 0.5) mod n in
-  if steps = 0 then { t with samples = Array.copy t.samples }
+  let steps = int_of_float ((shift_s /. t.dt_s) +. 0.5) mod length t in
+  if steps = 0 then t
   else
-    {
-      t with
-      samples = Array.init n (fun i -> t.samples.((i - steps + n) mod n));
-    }
+    let t = if flat t then t else materialise t in
+    { t with shift = steps }
 
 (* Scale every amplitude by [factor] (harvester efficiency / antenna
    gain jitter).  Timestamps are untouched; a negative factor would
@@ -138,27 +174,23 @@ let scale t factor =
     failwith (Printf.sprintf "Power_trace.scale: non-finite factor %g" factor);
   if factor < 0.0 then
     failwith (Printf.sprintf "Power_trace.scale: negative factor %g" factor);
-  { t with samples = Array.map (fun p -> p *. factor) t.samples }
+  let t = if t.factor = 1.0 && t.drop_frac = 0.0 then t else materialise t in
+  { t with factor }
 
 (* Zero each sample independently with probability [frac] (seeded):
    momentary harvester blackouts.  Samples are zeroed in place on the
    grid, never removed — removing rows would compress the timeline and
-   de-monotonize the mapping back to wall time. *)
+   de-monotonize the mapping back to wall time.  Sample [i] is dropped
+   when the [i]-th draw of [Rng.create seed] is below [frac]. *)
 let drop_samples t ~seed ~frac =
   if not (Float.is_finite frac) || frac < 0.0 || frac > 1.0 then
     failwith
       (Printf.sprintf "Power_trace.drop_samples: fraction %g out of [0, 1]"
          frac);
-  if frac = 0.0 then { t with samples = Array.copy t.samples }
+  if frac = 0.0 then t
   else
-    let rng = Sweep_util.Rng.create seed in
-    {
-      t with
-      samples =
-        Array.map
-          (fun p -> if Sweep_util.Rng.float rng 1.0 < frac then 0.0 else p)
-          t.samples;
-    }
+    let t = if t.drop_frac = 0.0 then t else materialise t in
+    { t with drop_frac = frac; drop_seed = seed }
 
 let save_csv t path =
   let oc = open_out path in
@@ -169,7 +201,7 @@ let save_csv t path =
       Array.iteri
         (fun idx p ->
           Printf.fprintf oc "%.6f,%.9f\n" (float_of_int idx *. t.dt_s) p)
-        t.samples)
+        (samples t))
 
 let load_csv ?(kind = Rf_office) path =
   let ic = open_in path in
@@ -226,4 +258,4 @@ let load_csv ?(kind = Rf_office) path =
     end
   in
   fill rows 0 (snd (List.hd rows));
-  { kind; dt_s; samples; tag = None }
+  of_base kind dt_s samples

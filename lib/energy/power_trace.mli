@@ -14,6 +14,12 @@ val kind_name : kind -> string
 val all_kinds : kind list
 
 type t
+(** An immutable view over a base sample grid.  Sample [i] is computed
+    on read as [base.((i - shift) mod n) *. factor], or [0.0] where the
+    seeded dropout mask fires — the shift → scale → drop pipeline of the
+    transforms below.  A trace from {!make} or {!load_csv} is the same
+    view with identity fields, and jittering one is O(1): the base grid
+    is shared, never copied. *)
 
 val make : ?seed:int -> kind -> t
 (** Deterministic for a given seed (default 42).  Traces cover ~60 s at
@@ -22,16 +28,45 @@ val make : ?seed:int -> kind -> t
 val kind : t -> kind
 
 val power : t -> float -> float
-(** [power t time_s] in watts. *)
+(** [power t time_s] in watts: {!sample} at index [time_s / sample_dt],
+    wrapped into [\[0, length t)]. *)
+
+val length : t -> int
+(** Number of samples on the grid (600k for a {!make} trace). *)
+
+val sample : t -> int -> float
+(** [sample t i] is sample [i] of the view, [0 <= i < length t]: the
+    reference read, O(1) and bit-exact with transforming a flat copy.
+    Its float result is boxed when the call is not inlined (dune's
+    default dev profile compiles with [-opaque]); a per-instruction
+    loop reads through {!source_index} instead. *)
+
+val source_index : t -> int -> int
+(** [source_index t i] is the index into {!base} that sample [i] reads,
+    or [-1] when dropout zeroes it — so
+    [sample t i = if k < 0 then 0.0 else (base t).(k) *. factor t].
+    Returns an immediate, so a hot loop can hoist {!base} and {!factor}
+    and refresh a cached sample without allocating. *)
+
+val base : t -> float array
+(** The shared base grid the view reads (watts).  Never mutate it: the
+    experiment layer memoises base traces across jobs and domains. *)
+
+val factor : t -> float
+(** The amplitude factor applied on read ([1.0] unless {!scale}d). *)
 
 val samples : t -> float array
-(** The raw sample grid (watts).  With {!sample_dt}, lets the driver's
-    per-instruction loop do the {!power} lookup inline — index
-    [((idx mod n) + n) mod n] for [idx = time_s / sample_dt] — without a
-    float-boxing call per instruction. *)
+(** The trace as a flat array: the base grid itself for an untransformed
+    trace, otherwise a fresh materialised copy (O(length)).  Off every
+    simulation path. *)
+
+val materialise : t -> t
+(** [materialise t] has the same samples and tag as [t], stored flat:
+    identity view fields over the {!samples} grid (a fresh copy unless
+    [t] is untransformed). *)
 
 val sample_dt : t -> float
-(** Grid spacing of {!samples} in seconds (100 µs). *)
+(** Grid spacing in seconds (100 µs). *)
 
 val tag : t -> string option
 (** Transform provenance: [None] for a trace straight out of {!make} or
@@ -46,10 +81,14 @@ val with_tag : t -> string -> t
 
 (** {2 Validated transforms}
 
-    Per-device jitter for fleet simulation.  Each returns a fresh trace
-    on the same 100 µs grid (inputs are never mutated) and raises
-    [Failure] rather than producing a trace whose implied timestamps
-    would be negative or non-monotonic. *)
+    Per-device jitter for fleet simulation.  Each returns a new trace on
+    the same 100 µs grid (inputs are never mutated) and raises [Failure]
+    rather than producing a trace whose implied timestamps would be
+    negative or non-monotonic.  Applied in the canonical order —
+    {!time_shift}, then {!scale}, then {!drop_samples}, each at most
+    once — a transform is O(1).  Applied out of that order or a second
+    time, it first {!materialise}s its input (O(length)), so the result
+    is always exactly that of transforming a flat copy. *)
 
 val time_shift : t -> float -> t
 (** [time_shift t s] rotates the trace right by [s] seconds (the result
@@ -65,11 +104,14 @@ val scale : t -> float -> t
 val drop_samples : t -> seed:int -> frac:float -> t
 (** [drop_samples t ~seed ~frac] zeroes each 100 µs sample
     independently with probability [frac] (deterministic per [seed]) —
-    momentary harvester blackouts.  Samples are zeroed, never removed,
-    so the time grid is untouched.  Raises [Failure] when [frac] is
+    momentary harvester blackouts: sample [i] is zeroed when
+    [Rng.nth_float ~seed i < frac], the [i]-th draw of
+    [Rng.create seed].  Samples are zeroed, never removed, so the time
+    grid is untouched.  Raises [Failure] when [frac] is
     outside [0, 1] or not finite. *)
 
 val mean_power : t -> float
+(** Mean of all samples; materialises a transformed trace. *)
 
 val duty_cycle : t -> float
 (** Fraction of samples with non-negligible power — a burstiness

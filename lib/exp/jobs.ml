@@ -78,17 +78,16 @@ let to_power = function
   | Jittered
       { kind; farads; v_max; v_min; shift_steps; amp_permille; drop_bp;
         drop_seed } ->
-    (* The jittered copy is per-device and transient — only the shared
-       base trace goes through the memo table, or a 100k-device fleet
-       would pin 100k 4.8 MB arrays. *)
+    (* The jittered trace is an O(1) view over the shared, memoised
+       base trace; nothing per-device is cached. *)
     let trace =
       apply_jitter (Exp_common.trace_of kind) ~shift_steps ~amp_permille
         ~drop_bp ~drop_seed
     in
     Driver.harvested ~v_max ~v_min ~trace ~farads ()
 
-(* Warm the shared trace memo without materialising per-device copies:
-   what the executor calls in the parent before spawning domains. *)
+(* Warm the shared trace memo: what the executor calls in the parent
+   before spawning domains. *)
 let prewarm = function
   | Unlimited -> ()
   | Harvested { kind; _ } | Jittered { kind; _ } ->

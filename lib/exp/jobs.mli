@@ -81,14 +81,13 @@ val power_id : power_spec -> string
 (** Equals {!Exp_common.power_key} of {!to_power} of the spec. *)
 
 val to_power : power_spec -> Sweep_sim.Driver.power
-(** Materialises the trace through {!Exp_common.trace_of} (memoised,
-    mutex-guarded).  A [Jittered] spec transforms a fresh copy of the
-    memoised base trace — per-device copies are transient, never
-    cached. *)
+(** Builds the base trace through {!Exp_common.trace_of} (memoised,
+    mutex-guarded).  A [Jittered] spec's trace is an O(1)
+    {!apply_jitter} view over that shared base, never cached. *)
 
 val prewarm : power_spec -> unit
-(** Materialise just the shared base trace (executor parent, before
-    spawning domains) without building any per-device jittered copy. *)
+(** Build just the shared base trace (executor parent, before spawning
+    domains). *)
 
 type t = {
   exp : string;    (** experiment id owning the JSONL line, e.g. "fig5" *)

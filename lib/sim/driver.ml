@@ -477,7 +477,7 @@ let run_harvested ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0)
   let has_jit = M.jit_backup_cost m <> None in
   (* Hot-loop flattening: the per-instruction block below does all its
      capacitor/trace arithmetic by direct field access on the flat
-     [Capacitor.t] and the raw sample array.  Calling
+     [Capacitor.t] and the trace's hoisted base grid and factor.  Calling
      [Capacitor.consume]/[harvest]/[above] or [Trace.power] here would
      box their computed float arguments on every dynamic instruction
      (non-flambda), which used to cost ~11 minor words/instr and
@@ -487,8 +487,8 @@ let run_harvested ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0)
      false, matching the [None -> false] arm it replaces.  Cold paths
      (outages, charging, backup) keep the readable module calls. *)
   let cap = s.cap in
-  let tr_samples = Trace.samples trace and tr_dt = Trace.sample_dt trace in
-  let tr_n = Array.length tr_samples in
+  let tr_base = Trace.base trace and tr_factor = Trace.factor trace in
+  let tr_dt = Trace.sample_dt trace and tr_n = Trace.length trace in
   let p_quiescent = s.p_quiescent in
   let th_restore = Capacitor.energy_at cap det.Detector.v_restore -. 1e-18 in
   let th_vmin = Capacitor.energy_at cap v_min -. 1e-18 in
@@ -614,12 +614,16 @@ let run_harvested ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0)
         (* Trace sample, from the cache while [now] stays inside the
            current 100 µs hold interval.  On a recompute: [now] never
            goes backwards from 0, so [idx] is non-negative and one [mod]
-           reproduces [Trace.power]'s wraparound; the refreshed edge is
-           shrunk by a relative 1e-6 (≫ any rounding error, ≪ the
-           interval) so it can never land past the true boundary. *)
+           reproduces [Trace.power]'s wraparound, and [Trace.sample]
+           is spelled out over [source_index] so no float is boxed; the
+           refreshed edge is shrunk by a relative 1e-6 (≫ any rounding
+           error, ≪ the interval) so it can never land past the true
+           boundary. *)
         if s.f.now >= s.f.trace_edge then begin
           let idx = int_of_float (s.f.now *. 1.0e-9 /. tr_dt) in
-          s.f.trace_p <- Array.unsafe_get tr_samples (idx mod tr_n);
+          let k = Trace.source_index trace (idx mod tr_n) in
+          s.f.trace_p <-
+            (if k < 0 then 0.0 else Array.unsafe_get tr_base k *. tr_factor);
           s.f.trace_edge <-
             float_of_int (idx + 1) *. tr_dt *. 1.0e9 *. 0.999999
         end;

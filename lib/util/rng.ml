@@ -6,7 +6,7 @@ let create seed = { state = Int64.of_int seed }
 
 let copy t = { state = t.state }
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -25,10 +25,19 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
   r mod bound
 
-let float t bound =
-  (* 53 random bits scaled into [0, 1). *)
-  let bits = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
-  bits /. 9007199254740992.0 *. bound
+(* 53 random bits scaled into [0, 1). *)
+let[@inline] unit_float z =
+  Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0
+
+let float t bound = unit_float (int64 t) *. bound
+
+(* The state after [i + 1] steps is [seed + (i + 1)·γ] (mod 2^64), so
+   any draw of the stream is one multiply-add and a [mix] away. *)
+let[@inline] nth_float ~seed i =
+  unit_float
+    (mix (Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int (i + 1)) golden_gamma)))
+
+let nth_below ~seed i p = nth_float ~seed i < p
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 

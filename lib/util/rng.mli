@@ -27,6 +27,17 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val nth_float : seed:int -> int -> float
+(** [nth_float ~seed i] is the [i]-th (0-based) draw of
+    [float (create seed) 1.0], bit for bit, computed directly from the
+    SplitMix64 counter with no generator state — random access into the
+    stream, e.g. a per-sample dropout mask read in any order. *)
+
+val nth_below : seed:int -> int -> float -> bool
+(** [nth_below ~seed i p] is [nth_float ~seed i < p] without returning
+    a float: across an [-opaque] module boundary (dune's default dev
+    profile) a float result is boxed, a [bool] never is. *)
+
 val bool : t -> bool
 (** Fair coin. *)
 

@@ -61,8 +61,65 @@ let test_nvp_zero_alloc () = check_design H.Nvp
 let test_sweep_zero_alloc () = check_design H.Sweep
 let test_replay_zero_alloc () = check_design H.Replay
 
+(* ---- harvested power: the jittered trace read path ---- *)
+
+module Trace = Sweep_energy.Power_trace
+
+(* A device trace: a view over the memoised RFHome base with every
+   transform live, and dropout heavy enough (20%) that a short run is
+   sure to read dropped samples. *)
+let jittered_view () =
+  Sweep_exp.Jobs.apply_jitter
+    (Sweep_exp.Exp_common.trace_of Trace.Rf_home)
+    ~shift_steps:4321 ~amp_permille:1051 ~drop_bp:2_000 ~drop_seed:17
+
+(* The driver refreshes its cached sample once per 100 µs of simulated
+   time through [source_index] over the hoisted base and factor; that
+   read must not allocate, dropout draw included. *)
+let test_trace_read_zero_alloc () =
+  let v = jittered_view () in
+  let base = Trace.base v and factor = Trace.factor v in
+  let n = Trace.length v in
+  let acc = Array.make 2 0.0 in
+  let read i =
+    let k = Trace.source_index v (i mod n) in
+    acc.(0) <- (if k < 0 then 0.0 else Array.unsafe_get base k *. factor)
+  in
+  read 0;
+  let w0 = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    read (i * 7);
+    acc.(1) <- acc.(1) +. acc.(0)
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check bool) "reads saw power" true (acc.(1) > 0.0);
+  Alcotest.(check (float 0.0)) "100k trace reads allocate nothing" 0.0
+    (w1 -. w0)
+
+(* The same sha run on the view and on its materialised flat copy. *)
+let test_jittered_run_matches_materialised () =
+  let compiled =
+    H.compile H.Sweep
+      (Sweep_workloads.Workload.program ~scale:1.0
+         (Sweep_workloads.Registry.find "sha"))
+  in
+  let run trace =
+    let m = H.machine H.Sweep compiled.Pipeline.program in
+    Driver.run m ~power:(Driver.harvested ~trace ~farads:470e-9 ())
+  in
+  let v = jittered_view () in
+  let lazy_run = run v and flat_run = run (Trace.materialise v) in
+  Alcotest.(check bool) "harvested run had outages" true
+    (lazy_run.Driver.outages > 0);
+  Alcotest.(check bool) "view and materialised trace give one outcome" true
+    (lazy_run = flat_run)
+
 let suite =
   [
+    Alcotest.test_case "trace read path alloc-free" `Quick
+      test_trace_read_zero_alloc;
+    Alcotest.test_case "jittered run matches materialised trace" `Quick
+      test_jittered_run_matches_materialised;
     Alcotest.test_case "nvp hot loop alloc-free" `Slow test_nvp_zero_alloc;
     Alcotest.test_case "sweep hot loop alloc-free" `Slow test_sweep_zero_alloc;
     Alcotest.test_case "replay hot loop alloc-free" `Slow

@@ -349,9 +349,115 @@ let test_transform_tags () =
   let tagged = Trace.with_tag (Trace.scale t 0.9) "am900" in
   Alcotest.(check bool) "tag recorded" true (Trace.tag tagged = Some "am900")
 
+(* The eager copy pipeline the lazy view replaced, kept as the oracle:
+   every view read must equal it bit for bit. *)
+module Eager = struct
+  let time_shift s dt shift_s =
+    let n = Array.length s in
+    let steps = int_of_float ((shift_s /. dt) +. 0.5) mod n in
+    if steps = 0 then Array.copy s
+    else Array.init n (fun i -> s.((i - steps + n) mod n))
+
+  let scale s factor = Array.map (fun p -> p *. factor) s
+
+  let drop_samples s ~seed ~frac =
+    if frac = 0.0 then Array.copy s
+    else
+      let rng = Sweep_util.Rng.create seed in
+      Array.map
+        (fun p -> if Sweep_util.Rng.float rng 1.0 < frac then 0.0 else p)
+        s
+end
+
+(* Compare every index of [view] against [oracle] bitwise, through both
+   [sample] and the driver's [source_index]/[base]/[factor] spelling. *)
+let check_view name view oracle =
+  let n = Array.length oracle in
+  check Alcotest.int (name ^ ": length") n (Trace.length view);
+  let base = Trace.base view and factor = Trace.factor view in
+  let bad = ref (-1) in
+  for i = n - 1 downto 0 do
+    let k = Trace.source_index view i in
+    let via_index = if k < 0 then 0.0 else base.(k) *. factor in
+    let want = Int64.bits_of_float oracle.(i) in
+    if
+      Int64.bits_of_float (Trace.sample view i) <> want
+      || Int64.bits_of_float via_index <> want
+    then bad := i
+  done;
+  if !bad >= 0 then
+    Alcotest.failf "%s: sample %d is %h, eager copy has %h" name !bad
+      (Trace.sample view !bad) oracle.(!bad)
+
+let test_view_matches_eager () =
+  let cases =
+    (* shift_steps, amp_permille, drop_bp, drop_seed *)
+    [
+      (0, 1000, 0, 1);
+      (7, 1051, 2, 1);
+      (599_999, 0, 10_000, 2);
+      (600_000, 1051, 2, 2);
+      (1_234_567, 1000, 10_000, 1);
+    ]
+  in
+  List.iter
+    (fun kind ->
+      let t = Trace.make kind in
+      let s = Trace.samples t and dt = Trace.sample_dt t in
+      List.iter
+        (fun (shift, amp, drop, seed) ->
+          let shift_s = float_of_int shift *. dt
+          and factor = float_of_int amp /. 1000.0
+          and frac = float_of_int drop /. 10_000.0 in
+          let view =
+            Trace.drop_samples ~seed ~frac
+              (Trace.scale (Trace.time_shift t shift_s) factor)
+          in
+          let oracle =
+            Eager.drop_samples ~seed ~frac
+              (Eager.scale (Eager.time_shift s dt shift_s) factor)
+          in
+          let name =
+            Printf.sprintf "%s ts%d.am%d.dp%d.ds%d" (Trace.kind_name kind)
+              shift amp drop seed
+          in
+          check_view name view oracle;
+          let n = Array.length oracle in
+          List.iter
+            (fun time ->
+              let idx = int_of_float (time /. dt) in
+              check Alcotest.int64
+                (Printf.sprintf "%s: power at %g s" name time)
+                (Int64.bits_of_float oracle.(((idx mod n) + n) mod n))
+                (Int64.bits_of_float (Trace.power view time)))
+            [ 0.0; 59.99995; 60.0; 60.00013; 123.4567; 10_000.3 ])
+        cases)
+    Trace.all_kinds
+
+let test_view_odd_compositions () =
+  let t = Trace.make Trace.Rf_home in
+  let s = Trace.samples t and dt = Trace.sample_dt t in
+  check_view "fractional shift rounds to nearest step"
+    (Trace.time_shift t (6.6 *. dt))
+    (Eager.time_shift s dt (6.6 *. dt));
+  check_view "drop then shift"
+    (Trace.time_shift (Trace.drop_samples t ~seed:9 ~frac:0.3) (13.0 *. dt))
+    (Eager.time_shift (Eager.drop_samples s ~seed:9 ~frac:0.3) dt (13.0 *. dt));
+  check_view "scale twice"
+    (Trace.scale (Trace.scale t 1.1) 0.7)
+    (Eager.scale (Eager.scale s 1.1) 0.7);
+  check_view "drop twice"
+    (Trace.drop_samples ~seed:4 ~frac:0.5 (Trace.drop_samples t ~seed:3 ~frac:0.2))
+    (Eager.drop_samples ~seed:4 ~frac:0.5 (Eager.drop_samples s ~seed:3 ~frac:0.2));
+  Alcotest.(check bool) "base untouched" true (Trace.samples t == s)
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "view matches eager copies" `Quick
+        test_view_matches_eager;
+      Alcotest.test_case "view odd compositions" `Quick
+        test_view_odd_compositions;
       Alcotest.test_case "transform time_shift" `Quick test_transform_time_shift;
       Alcotest.test_case "transform scale" `Quick test_transform_scale;
       Alcotest.test_case "transform drop_samples" `Quick

@@ -149,6 +149,46 @@ let test_device_key_invariant () =
         (Device.cohort_of_key (Device.key spec d)))
     [ 0; 3; 5 ]
 
+let test_device_replay_exact () =
+  (* sweepsim's --jitter-* replay jitters a fresh [Trace.make] base; the
+     fleet job jitters the memoised one.  Both are views over equal
+     samples, so one device must simulate identically either way — at a
+     scale long enough for outages, so the trace actually matters. *)
+  let compiled =
+    Sweep_sim.Harness.compile spec.Spec.design
+      (Sweep_workloads.Workload.program ~scale:1.0
+         (Sweep_workloads.Registry.find spec.Spec.bench))
+  in
+  let run power =
+    Driver.run ~power
+      (Sweep_sim.Harness.machine spec.Spec.design
+         compiled.Sweep_compiler.Pipeline.program)
+  in
+  List.iter
+    (fun id ->
+      let d = Device.instantiate spec ~id in
+      let p = Device.power spec d in
+      let replay =
+        Driver.harvested ~v_max:spec.Spec.v_max ~v_min:spec.Spec.v_min
+          ~trace:
+            (Jobs.apply_jitter
+               (Sweep_energy.Power_trace.make spec.Spec.trace)
+               ~shift_steps:d.Device.shift_steps
+               ~amp_permille:d.Device.amp_permille ~drop_bp:d.Device.drop_bp
+               ~drop_seed:d.Device.drop_seed)
+          ~farads:d.Device.arm.Spec.farads ()
+      in
+      check Alcotest.string "power_id = power_key of replayed view"
+        (Jobs.power_id p) (C.power_key replay);
+      let fleet_run = run (Jobs.to_power p) and replay_run = run replay in
+      Alcotest.(check bool)
+        (Printf.sprintf "device %d browned out" id)
+        true (fleet_run.Driver.outages > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "device %d: fleet job = sweepsim replay" id)
+        true (fleet_run = replay_run))
+    [ 0; 4 ]
+
 let test_census () =
   let per_arm, unique = Runner.census spec in
   check Alcotest.int "census covers every device" spec.Spec.devices
@@ -402,6 +442,7 @@ let suite =
     Alcotest.test_case "spec json rejects" `Quick test_spec_json_rejects;
     Alcotest.test_case "device purity" `Quick test_device_pure_and_bounded;
     Alcotest.test_case "device key invariant" `Quick test_device_key_invariant;
+    Alcotest.test_case "device replay exact" `Quick test_device_replay_exact;
     Alcotest.test_case "census" `Quick test_census;
     Alcotest.test_case "sketch quantiles" `Quick test_sketch_fold_and_quantiles;
     Alcotest.test_case "sketch failures" `Quick

@@ -148,6 +148,31 @@ let test_table_pads_short_rows () =
   (* Must not raise. *)
   ignore (Table.render t)
 
+(* Random access must be the sequential stream, bit for bit: fleet
+   dropout masks read it out of order and must match a replay that
+   drew it front to back. *)
+let test_rng_nth_float () =
+  let indices = [ 0; 1; 599_999; 1_000_000 ] in
+  List.iter
+    (fun seed ->
+      let rng = Rng.create seed in
+      let drawn = ref (-1) and last = ref 0.0 in
+      List.iter
+        (fun i ->
+          while !drawn < i do
+            last := Rng.float rng 1.0;
+            incr drawn
+          done;
+          let nth = Rng.nth_float ~seed i in
+          check Alcotest.int64
+            (Printf.sprintf "seed %d draw %d" seed i)
+            (Int64.bits_of_float !last) (Int64.bits_of_float nth);
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d draw %d below" seed i)
+            (nth < 0.5) (Rng.nth_below ~seed i 0.5))
+        indices)
+    [ 0; -12345; max_int ]
+
 let test_float_cell () =
   Alcotest.(check string) "two decimals" "3.14" (Table.float_cell 3.14159);
   Alcotest.(check string) "nan spelled" "nan" (Table.float_cell Float.nan);
@@ -162,6 +187,7 @@ let suite =
     Alcotest.test_case "rng seed sensitivity" `Quick test_rng_seed_sensitivity;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng copy" `Quick test_rng_copy;
+    Alcotest.test_case "rng nth_float is the stream" `Quick test_rng_nth_float;
     Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
