@@ -14,10 +14,9 @@
    line to <results-dir>/<experiment>.jsonl. *)
 
 open Cmdliner
+module Cli = Sweep_cli.Cli
 module Experiments = Sweep_exp.Experiments
-module Executor = Sweep_exp.Executor
 module Results = Sweep_exp.Results
-module Supervisor = Sweep_exp.Supervisor
 module Rcache = Sweep_exp.Rcache
 module Exit_code = Sweep_exp.Exit_code
 
@@ -38,74 +37,8 @@ let list_keys experiments =
     (Experiments.keys experiments);
   Printf.printf "%d job(s) after dedup\n" (List.length (Experiments.plan experiments))
 
-let report_cache rc =
-  let s = Rcache.stats rc in
-  Printf.eprintf "result cache: %d hit(s), %d miss(es), %d evicted, %d corrupt\n%!"
-    s.Rcache.hits s.Rcache.misses s.Rcache.evictions s.Rcache.corrupt
-
-let main names j results_dir no_jsonl metrics metrics_out progress list_only
-    status_file metrics_export flight_dir heartbeat_every attrib_dir workers
-    retries worker_timeout respawn_budget supervise_seed chaos_kill_after
-    cache_dir cache_max_bytes =
-  try
-  if j < 1 then begin
-    Printf.eprintf "sweepexp: -j must be at least 1 (got %d)\n" j;
-    exit Exit_code.usage
-  end;
-  if workers < 0 then begin
-    Printf.eprintf "sweepexp: --workers must be >= 0 (got %d)\n" workers;
-    exit Exit_code.usage
-  end;
-  Executor.set_workers j;
-  if metrics || Option.is_some metrics_out || Option.is_some metrics_export
-  then Sweep_obs.Metrics.set_enabled true;
-  Results.set_dir (if no_jsonl then None else Some results_dir);
-  (* Live telemetry: heartbeats default on as soon as something consumes
-     them (a status file or a metrics exporter), off otherwise so plain
-     runs keep the zero-telemetry hot loop. *)
-  let status =
-    Option.map
-      (fun path -> Sweep_exp.Status.create ~path ~workers:j ())
-      status_file
-  in
-  let export =
-    Option.map
-      (fun path -> Sweep_obs.Openmetrics.exporter ~path ())
-      metrics_export
-  in
-  let flight = Option.map (fun dir -> Sweep_obs.Flight.arm ~dir ()) flight_dir in
-  let heartbeat_every =
-    match heartbeat_every with
-    | Some n -> n
-    | None ->
-      if status <> None || export <> None then
-        Sweep_obs.Heartbeat.default_every
-      else 0
-  in
-  let rcache =
-    Option.map
-      (fun dir -> Rcache.create ?max_bytes:cache_max_bytes dir)
-      cache_dir
-  in
-  let distribute =
-    if workers = 0 then None
-    else
-      Some
-        (Supervisor.policy ~retries ~worker_timeout_s:worker_timeout
-           ~respawn_budget ~seed:supervise_seed ?chaos_kill_after ~workers ())
-  in
-  let config =
-    Executor.config ~progress ~heartbeat_every ?status ?flight ?export
-      ?attrib_dir ?rcache ?distribute ()
-  in
-  let dump_metrics () =
-    Option.iter Sweep_obs.Openmetrics.flush export;
-    match metrics_out with
-    | None -> ()
-    | Some path ->
-      Sweep_obs.Metrics.write_json path (Sweep_obs.Metrics.snapshot ());
-      Printf.eprintf "metrics snapshot written to %s\n" path
-  in
+let main names results_dir no_jsonl progress list_only heartbeat_every
+    (opts : Cli.run_opts) =
   match names with
   | [ "list" ] ->
     list_experiments ();
@@ -117,24 +50,18 @@ let main names j results_dir no_jsonl metrics metrics_out progress list_only
         if not list_only then
           Printf.printf
             "SweepCache reproduction — regenerating all tables/figures (-j %d)\n\n"
-            (Executor.workers ());
+            opts.Cli.jobs;
         Ok (Experiments.all)
       | [ "quick" ] ->
         if not list_only then
           Printf.printf
             "SweepCache reproduction — quick set (heavy sweeps skipped, -j %d)\n\n"
-            (Executor.workers ());
+            opts.Cli.jobs;
         Ok (List.filter (fun e -> not e.Experiments.heavy) Experiments.all)
-      | names ->
-        let unknown =
-          List.filter (fun n -> Experiments.find n = None) names
-        in
-        if unknown <> [] then Error unknown
-        else
-          Ok
-            (List.map
-               (fun n -> Option.get (Experiments.find n))
-               names)
+      | names -> (
+        match List.filter (fun n -> Experiments.find n = None) names with
+        | [] -> Ok (List.filter_map Experiments.find names)
+        | unknown -> Error unknown)
     in
     match selection with
     | Error unknown ->
@@ -146,46 +73,24 @@ let main names j results_dir no_jsonl metrics metrics_out progress list_only
       list_keys experiments;
       0
     | Ok experiments ->
-      Experiments.run_many ~config experiments;
-      Supervisor.shutdown ();
-      if metrics then begin
-        print_newline ();
-        print_string
-          (Sweep_obs.Metrics.render (Sweep_obs.Metrics.snapshot ()))
-      end;
-      dump_metrics ();
-      Option.iter report_cache rcache;
-      let sup = Supervisor.stats () in
-      if sup.Supervisor.degraded then
-        Printf.eprintf
-          "sweepexp: degraded completion — respawn budget exhausted, \
-           finished on surviving workers\n";
-      let failures = Results.failures () in
-      if failures <> [] then begin
-        Printf.eprintf "\n%d job(s) failed:\n" (List.length failures);
-        List.iter
-          (fun f ->
-            Printf.eprintf "  %s: %s\n" f.Results.key f.Results.error)
-          failures
-      end;
-      Exit_code.of_run ~degraded:sup.Supervisor.degraded
-        ~failures:(List.length failures))
-  with Sys_error msg ->
-    (* Unwritable --results-dir / --metrics-out: one line, exit 1. *)
-    Printf.eprintf "sweepexp: %s\n" msg;
-    1
+      Cli.protect ~progress ?heartbeat_every opts (fun config ->
+          Results.set_dir (if no_jsonl then None else Some results_dir);
+          Experiments.run_many ~config experiments;
+          let failures = Results.failures () in
+          if failures <> [] then begin
+            Printf.eprintf "\n%d job(s) failed:\n" (List.length failures);
+            List.iter
+              (fun f ->
+                Printf.eprintf "  %s: %s\n" f.Results.key f.Results.error)
+              failures
+          end;
+          Cli.finish ~failures:(List.length failures) opts config))
 
 let names_arg =
   Arg.(value & pos_all string []
        & info [] ~docv:"EXPERIMENT"
            ~doc:"Experiment ids (see $(b,list)); $(b,quick) for the \
                  non-heavy set; empty for everything.")
-
-let jobs_arg =
-  Arg.(value & opt int (Domain.recommended_domain_count ())
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains for the batch-execute phase (default: \
-                 the machine's recommended domain count; 1 = sequential).")
 
 let results_dir_arg =
   Arg.(value & opt string "results"
@@ -196,18 +101,6 @@ let results_dir_arg =
 let no_jsonl_arg =
   Arg.(value & flag
        & info [ "no-jsonl" ] ~doc:"Disable the JSONL results sink.")
-
-let metrics_arg =
-  Arg.(value & flag
-       & info [ "metrics" ]
-           ~doc:"Enable the metrics registry (sim.*, driver.*, exp.* \
-                 series) and dump it after the run.")
-
-let metrics_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-out" ] ~docv:"FILE"
-           ~doc:"Enable the metrics registry and write a JSON snapshot to \
-                 FILE after the run (readable by sweeptrace).")
 
 let progress_arg =
   Arg.(value & flag
@@ -221,101 +114,14 @@ let list_arg =
                  experiments would execute (with the owning experiment) \
                  and exit without running anything.")
 
-let status_file_arg =
-  Arg.(value & opt (some string) None
-       & info [ "status-file" ] ~docv:"FILE"
-           ~doc:"Maintain an atomically-updated live status snapshot \
-                 (queued/running/done/failed, per-job progress, ETA) at \
-                 FILE while the run executes; enables heartbeats.")
-
-let metrics_export_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-export" ] ~docv:"FILE"
-           ~doc:"Enable the metrics registry and periodically re-export \
-                 it to FILE in OpenMetrics (Prometheus text) format; \
-                 enables heartbeats.")
-
-let flight_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "flight-dir" ] ~docv:"DIR"
-           ~doc:"Arm the crash flight recorder: every captured job \
-                 failure dumps a postmortem-*.jsonl artifact (recent \
-                 events + metrics snapshot) into DIR, readable by \
-                 $(b,sweeptrace postmortem).")
-
 let heartbeat_every_arg =
-  Arg.(value & opt (some int) None
-       & info [ "heartbeat-every" ] ~docv:"N"
-           ~doc:"Emit an in-run heartbeat every N simulated instructions \
-                 (default: 1000000 when --status-file or \
-                 --metrics-export is given, otherwise disabled; 0 \
-                 disables).")
-
-let attrib_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "attrib-dir" ] ~docv:"DIR"
-           ~doc:"Arm per-PC attribution for every executed job and write \
-                 DIR/<job key>.attrib.json (+ .folded collapsed stacks) \
-                 per job.  Profiles are byte-identical at any -j; \
-                 analyze with $(b,sweeptrace profile).")
-
-let workers_arg =
-  Arg.(value & opt int 0
-       & info [ "workers" ] ~docv:"N"
-           ~doc:"Run jobs on N supervised worker $(i,processes) (the \
-                 binary re-execs itself) instead of in-process domains: \
-                 dead or hung workers are respawned with seeded backoff, \
-                 in-flight jobs retry up to --retries times before \
-                 quarantine, and results are byte-identical to \
-                 $(b,--workers 0) (the default, in-process -j mode).")
-
-let retries_arg =
-  Arg.(value & opt int 2
-       & info [ "retries" ] ~docv:"K"
-           ~doc:"Extra attempts for a job whose worker died before \
-                 quarantining it as a structured failure (supervised \
-                 mode only).")
-
-let worker_timeout_arg =
-  Arg.(value & opt float 60.0
-       & info [ "worker-timeout" ] ~docv:"SECONDS"
-           ~doc:"SIGKILL a busy worker that has been silent (no \
-                 heartbeat, no result) this long; 0 disables the \
-                 liveness check (supervised mode only).")
-
-let respawn_budget_arg =
-  Arg.(value & opt int 8
-       & info [ "respawn-budget" ] ~docv:"N"
-           ~doc:"Total worker respawns allowed for the run; once \
-                 exhausted the sweep finishes degraded on surviving \
-                 workers (exit code 2).")
-
-let supervise_seed_arg =
-  Arg.(value & opt int 42
-       & info [ "supervise-seed" ] ~docv:"SEED"
-           ~doc:"Seed for the respawn backoff jitter and the chaos \
-                 victim chooser (deterministic schedules).")
-
-let chaos_kill_after_arg =
-  Arg.(value & opt (some int) None
-       & info [ "chaos-kill-after" ] ~docv:"N"
-           ~doc:"Fault injection for tests: SIGKILL one seeded-chosen \
-                 worker after N completed jobs (supervised mode only).")
-
-let cache_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Persistent content-addressed result cache: jobs whose \
-                 (key, config digest) is already cached skip simulation; \
-                 executed jobs are stored back.  Entries are checksummed \
-                 — corrupt or truncated ones are warned about and \
-                 re-simulated, never served.")
-
-let cache_max_bytes_arg =
-  Arg.(value & opt (some int) None
-       & info [ "cache-max-bytes" ] ~docv:"BYTES"
-           ~doc:"Result-cache size bound; least-recently-used entries \
-                 are evicted past it (default 268435456).")
+  Cli.non_negative "--heartbeat-every"
+    Arg.(value & opt (some int) None
+         & info [ "heartbeat-every" ] ~docv:"N"
+             ~doc:"Emit an in-run heartbeat every N simulated instructions \
+                   (default: 1000000 when --status-file or \
+                   --metrics-export is given, otherwise disabled; 0 \
+                   disables).")
 
 (* ---------------- cache maintenance ---------------- *)
 
@@ -363,25 +169,17 @@ let doc = "regenerate the paper's tables and figures"
 
 let cmd =
   let term =
-    Term.(const main $ names_arg $ jobs_arg $ results_dir_arg $ no_jsonl_arg
-          $ metrics_arg $ metrics_out_arg $ progress_arg $ list_arg
-          $ status_file_arg $ metrics_export_arg $ flight_dir_arg
-          $ heartbeat_every_arg $ attrib_dir_arg $ workers_arg $ retries_arg
-          $ worker_timeout_arg $ respawn_budget_arg $ supervise_seed_arg
-          $ chaos_kill_after_arg $ cache_dir_arg $ cache_max_bytes_arg)
+    Term.(const main $ names_arg $ results_dir_arg $ no_jsonl_arg
+          $ progress_arg $ list_arg $ heartbeat_every_arg $ Cli.run_opts)
   in
   Cmd.v (Cmd.info "sweepexp" ~doc) term
 
 (* Positional arguments are experiment ids ("sweepexp tab1 fig5"), so
    `cache` can't be a cmdliner subcommand of the same group — it is
-   dispatched on argv before cmdliner sees anything, like worker mode. *)
+   dispatched on argv before cmdliner sees anything. *)
 let cache_root = Cmd.group (Cmd.info "sweepexp" ~doc) [ cache_cmd ]
 
-(* Hidden worker mode: when the supervisor re-execs this binary, hand
-   the process to the frame loop before cmdliner ever sees argv. *)
 let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = Sweep_exp.Worker.argv_flag
-  then exit (Sweep_exp.Worker.main ())
-  else if Array.length Sys.argv > 1 && Sys.argv.(1) = "cache" then
-    exit (Cmd.eval' cache_root)
-  else exit (Cmd.eval' cmd)
+  Cli.main
+    (if Array.length Sys.argv > 1 && Sys.argv.(1) = "cache" then cache_root
+     else cmd)

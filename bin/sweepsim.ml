@@ -7,6 +7,7 @@
 *)
 
 open Cmdliner
+module Cli = Sweep_cli.Cli
 module H = Sweep_sim.Harness
 module Driver = Sweep_sim.Driver
 module Trace = Sweep_energy.Power_trace
@@ -173,8 +174,8 @@ let parse_trace_filter spec =
 
 let main bench designs trace cap volts scale cache_size assoc buffer_entries
     jitter nvm_search verify j results_dir trace_out trace_format trace_cap
-    trace_filter metrics metrics_out fault fault_nested profile
-    heartbeat_every metrics_export attrib_out attrib_folded =
+    trace_filter (metrics : Cli.metrics_opts) fault fault_nested profile
+    heartbeat_every attrib_out attrib_folded =
   try
   (match Sweep_workloads.Registry.find bench with
   | exception Not_found ->
@@ -230,11 +231,7 @@ let main bench designs trace cap volts scale cache_size assoc buffer_entries
     | Some n -> Some (Sweep_sim.Fault.at_instruction ~nested:fault_nested n)
   in
   Results.set_dir results_dir;
-  if metrics || Option.is_some metrics_out || Option.is_some metrics_export
-  then Obs.Metrics.set_enabled true;
-  let export =
-    Option.map (fun path -> Obs.Openmetrics.exporter ~path ()) metrics_export
-  in
+  let export = Cli.start_metrics metrics in
   (* Heartbeats default on when the exporter needs a pulse to flush to,
      off otherwise; --heartbeat-every overrides either way. *)
   let heartbeat_every =
@@ -352,18 +349,10 @@ let main bench designs trace cap volts scale cache_size assoc buffer_entries
   in
   List.iter (fun (_, row) -> Table.add_row t row) rows;
   Table.print t;
-  if metrics then
-    print_string (Obs.Metrics.render (Obs.Metrics.snapshot ()));
-  (match metrics_out with
-  | None -> ()
-  | Some path ->
-    Obs.Metrics.write_json path (Obs.Metrics.snapshot ());
-    Printf.eprintf "metrics snapshot written to %s\n" path);
-  (match (export, metrics_export) with
-  | Some ex, Some path ->
-    Obs.Openmetrics.flush ex;
-    Printf.eprintf "OpenMetrics export written to %s\n" path
-  | _ -> ());
+  Cli.flush_metrics metrics export;
+  Option.iter
+    (Printf.eprintf "OpenMetrics export written to %s\n")
+    metrics.Cli.export;
   (* --verify regressions must fail the process so CI can catch them. *)
   if List.for_all fst rows then 0 else 1
   with Sys_error msg ->
@@ -546,18 +535,6 @@ let trace_filter_arg =
            ~doc:"Comma-separated event categories to keep in the trace: \
                  region, buffer, cache, power, exec, job.  Default: all.")
 
-let metrics_arg =
-  Arg.(value & flag
-       & info [ "metrics" ]
-           ~doc:"Enable the metrics registry and print it after the table \
-                 (counters labelled by design and bench).")
-
-let metrics_out_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-out" ] ~docv:"FILE"
-           ~doc:"Enable the metrics registry and write a JSON snapshot to \
-                 FILE after the run (readable by sweeptrace).")
-
 let fault_arg =
   Arg.(value & opt (some int) None
        & info [ "fault" ] ~docv:"N"
@@ -579,13 +556,6 @@ let heartbeat_every_arg =
                  instructions (visible in --trace output; default: \
                  1000000 when --metrics-export is given, otherwise \
                  disabled; 0 disables).")
-
-let metrics_export_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-export" ] ~docv:"FILE"
-           ~doc:"Enable the metrics registry and periodically re-export \
-                 it to FILE in OpenMetrics (Prometheus text) format \
-                 (refreshed on every heartbeat, final flush at exit).")
 
 let profile_arg =
   Arg.(value & flag
@@ -617,20 +587,19 @@ let cmd =
       const (fun bench design all trace cap volts scale cache assoc
                  buffer_entries jitter nvm_search verify j results_dir
                  trace_out trace_format trace_cap trace_filter metrics
-                 metrics_out fault fault_nested profile heartbeat_every
-                 metrics_export attrib_out attrib_folded ->
+                 fault fault_nested profile heartbeat_every attrib_out
+                 attrib_folded ->
           let designs = if all then H.all_designs else design in
           main bench designs trace cap volts scale cache assoc buffer_entries
             jitter nvm_search verify j results_dir trace_out trace_format
-            trace_cap trace_filter metrics metrics_out fault fault_nested
-            profile heartbeat_every metrics_export attrib_out attrib_folded)
+            trace_cap trace_filter metrics fault fault_nested profile
+            heartbeat_every attrib_out attrib_folded)
       $ bench_arg $ designs_arg $ all_designs_arg $ trace_arg $ cap_arg
       $ volts_term $ scale_arg $ cache_arg $ assoc_arg $ buffer_entries_arg
       $ jitter_term $ nvm_search_arg $ verify_arg $ jobs_arg
       $ results_dir_arg $ trace_out_arg $ trace_format_arg $ trace_cap_arg
-      $ trace_filter_arg $ metrics_arg $ metrics_out_arg $ fault_arg
-      $ fault_nested_arg $ profile_arg $ heartbeat_every_arg
-      $ metrics_export_arg $ attrib_arg $ attrib_folded_arg)
+      $ trace_filter_arg $ Cli.metrics_opts $ fault_arg $ fault_nested_arg
+      $ profile_arg $ heartbeat_every_arg $ attrib_arg $ attrib_folded_arg)
   in
   Cmd.v (Cmd.info "sweepsim" ~doc) term
 

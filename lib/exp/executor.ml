@@ -41,18 +41,6 @@ let config ?(progress = false) ?(heartbeat_every = 0) ?status ?flight ?export
     distribute;
   }
 
-let default_config () =
-  {
-    progress = false;
-    heartbeat_every = 0;
-    status = None;
-    flight = None;
-    export = None;
-    attrib_dir = None;
-    rcache = None;
-    distribute = None;
-  }
-
 (* Wall-clock origin for Job_start/Job_done timestamps: simulation events
    carry simulated ns, executor events carry host ns since process
    start — the Chrome sink keeps them on separate process tracks. *)
@@ -249,7 +237,7 @@ let resolve_cached rc jobs =
 
 let execute ?workers:w ?config:cfg ?budget jobs =
   let w = match w with Some w -> max 1 w | None -> !default_workers in
-  let cfg = match cfg with Some c -> c | None -> default_config () in
+  let cfg = match cfg with Some c -> c | None -> config () in
   let budget = match budget with Some f -> f | None -> fun _ -> None in
   let jobs = Jobs.dedup jobs in
   Option.iter (fun rc -> resolve_cached rc jobs) cfg.rcache;

@@ -66,10 +66,6 @@ val config :
   config
 (** Everything off/absent by default. *)
 
-val default_config : unit -> config
-(** The config used when {!execute} is called without one: everything
-    off/absent. *)
-
 val map : ?workers:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map on the same domain pool as
     {!execute}: results line up with inputs regardless of worker count.
@@ -91,7 +87,7 @@ val execute :
 
     [config] attaches per-run telemetry (progress lines, heartbeats,
     live status, flight recorder, OpenMetrics export); defaults to
-    {!default_config}.  [budget] maps a job to an optional graceful
+    [config ()].  [budget] maps a job to an optional graceful
     simulated-time ceiling in ns (sweeptune's early-stop); a
     budget-stopped job stores a summary with
     [outcome.completed = false]. *)

@@ -52,14 +52,8 @@ let m_corrupt = Sweep_obs.Metrics.counter "exp.rcache_corrupt"
 
 let default_max_bytes = 256 * 1024 * 1024
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ?(max_bytes = default_max_bytes) dir =
-  mkdir_p dir;
+  Sweep_util.Files.mkdir_p dir;
   {
     dir;
     max_bytes = max max_bytes 0;

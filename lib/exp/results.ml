@@ -175,13 +175,6 @@ let json_line ?ts ~exp ~key ~design ~label ~power ~bench ~scale ~elapsed_s s =
     (Mstats.parallelism_efficiency st)
     s.miss_rate s.nvm_writes elapsed_s
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path)
-  then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let emit ~exp ~key ~design ~label ~power ~bench ~scale ~elapsed_s summary =
   match !sink_dir with
   | None -> ()
@@ -194,7 +187,7 @@ let emit ~exp ~key ~design ~label ~power ~bench ~scale ~elapsed_s summary =
     Fun.protect
       ~finally:(fun () -> Mutex.unlock io_lock)
       (fun () ->
-        mkdir_p dir;
+        Sweep_util.Files.mkdir_p dir;
         let path = Filename.concat dir (exp ^ ".jsonl") in
         let oc =
           open_out_gen [ Open_append; Open_creat ] 0o644 path

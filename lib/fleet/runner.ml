@@ -31,12 +31,6 @@ type outcome = {
   report_path : string;
 }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let journal_path dir = Filename.concat dir "fleet.journal"
 let report_path dir = Filename.concat dir "fleet.json"
 
@@ -144,7 +138,7 @@ let run ?workers ?exec_config ?kill_after ?(chunk = default_chunk) ~dir spec =
   | [] -> ()
   | p :: _ -> invalid_arg ("Runner.run: " ^ p));
   let chunk = max 1 chunk in
-  mkdir_p dir;
+  Sweep_util.Files.mkdir_p dir;
   let digest = Spec.digest spec in
   let journal = journal_path dir in
   match load_journal journal ~digest ~devices:spec.Spec.devices with

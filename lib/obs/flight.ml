@@ -13,17 +13,8 @@ type t = {
 let schema_version = 1
 let default_capacity = 4096
 
-let mkdir_p dir =
-  let rec go d =
-    if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ -> ()
-    end
-  in
-  go dir
-
 let arm ?(capacity = default_capacity) ~dir () =
-  mkdir_p dir;
+  Sweep_util.Files.mkdir_p dir;
   { ring = Ring.create ~capacity; dir; lock = Mutex.create () }
 
 let sink t = Ring.sink t.ring

@@ -181,6 +181,25 @@ let test_float_cell () =
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_int_bounds; prop_float_bounds; prop_cdf_monotone ]
 
+let test_mkdir_p () =
+  let root = Filename.temp_file "mkdirp" ".d" in
+  Sys.remove root;
+  let leaf = Filename.concat (Filename.concat root "a") "b" in
+  Sweep_util.Files.mkdir_p leaf;
+  Alcotest.(check bool) "parents and leaf created" true (Sys.is_directory leaf);
+  Sweep_util.Files.mkdir_p leaf;
+  Alcotest.(check bool) "existing directory is fine" true (Sys.is_directory leaf);
+  let file = Filename.concat root "f" in
+  close_out (open_out file);
+  Alcotest.(check bool) "a path under a file fails" true
+    (match Sweep_util.Files.mkdir_p (Filename.concat file "x") with
+    | () -> false
+    | exception Sys_error _ -> true);
+  Sys.remove file;
+  Sys.rmdir leaf;
+  Sys.rmdir (Filename.dirname leaf);
+  Sys.rmdir root
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -201,5 +220,6 @@ let suite =
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table pads" `Quick test_table_pads_short_rows;
     Alcotest.test_case "float cell" `Quick test_float_cell;
+    Alcotest.test_case "mkdir_p" `Quick test_mkdir_p;
   ]
   @ qsuite

@@ -25,4 +25,5 @@ let () =
       ("super", T_super.suite);
       ("profile", T_profile.suite);
       ("fleet", T_fleet.suite);
+      ("cli", T_cli.suite);
     ]
