@@ -211,6 +211,7 @@ let exec_config ?rollup ?(progress = false) ?heartbeat_every o =
       o.status_file
   in
   let flight = Option.map (fun dir -> Obs.Flight.arm ~dir ()) o.flight_dir in
+  Option.iter Sweep_util.Files.mkdir_p o.attrib_dir;
   (* Heartbeats default on as soon as something consumes them (a status
      file or a metrics exporter), off otherwise so plain runs keep the
      zero-telemetry hot loop. *)

@@ -62,8 +62,9 @@ val exec_config :
   Sweep_exp.Executor.config
 (** Apply [-j] and the metrics flags, then build the executor config:
     live status ([rollup] as in {!Sweep_exp.Status.create}), OpenMetrics
-    exporter, flight recorder, result cache and supervision policy
-    ([--workers 0] means none).  [heartbeat_every] defaults to
+    exporter, flight recorder, attribution directory (created here, so
+    an unwritable one fails before any job runs), result cache and
+    supervision policy ([--workers 0] means none).  [heartbeat_every] defaults to
     {!Sweep_obs.Heartbeat.default_every} when a status file or exporter
     consumes heartbeats, 0 otherwise. *)
 

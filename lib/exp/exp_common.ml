@@ -26,25 +26,13 @@ let sweep_empty_bit = setting ~label:"Sweep/EmptyBit" H.Sweep
 let fig5_settings =
   [ setting H.Replay; setting H.Nvsram; sweep_nvm_search; sweep_empty_bit ]
 
-(* Traces are memoised behind a mutex: [Trace.t] is immutable once
-   built, so sharing one instance across domains is safe; the lock only
-   guards the table itself.  The executor pre-materialises every trace a
-   job list needs before spawning workers, so workers normally hit the
-   table read-only. *)
-let trace_lock = Mutex.create ()
-let trace_cache : (Trace.kind, Trace.t) Hashtbl.t = Hashtbl.create 4
+(* [Trace.t] is immutable once built, so one instance per kind is
+   shared across domains.  The executor pre-materialises every trace a
+   job list needs before spawning workers, so workers only hit. *)
+let traces = Sweep_util.Memo.create ~cap:(List.length Trace.all_kinds) ()
 
 let trace_of kind =
-  Mutex.lock trace_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock trace_lock)
-    (fun () ->
-      match Hashtbl.find_opt trace_cache kind with
-      | Some t -> t
-      | None ->
-        let t = Trace.make kind in
-        Hashtbl.replace trace_cache kind t;
-        t)
+  fst (Sweep_util.Memo.find_or_add traces kind (fun () -> Trace.make kind))
 
 let rf_office () = trace_of Trace.Rf_office
 let rf_home () = trace_of Trace.Rf_home
@@ -117,8 +105,7 @@ let compute ?(scale = 1.0) ?sim_budget_ns ?heartbeat ?attrib_dir s ~power
     (match Sweep_sim.Profile.of_result ~bench ~scale ~key r with
     | None -> ()
     | Some p ->
-      (try Unix.mkdir dir 0o755
-       with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ());
+      Sweep_util.Files.mkdir_p dir;
       let base = Filename.concat dir (sanitize_key key) in
       Sweep_sim.Profile.write_json p ~path:(base ^ ".attrib.json");
       Sweep_sim.Profile.write_folded p ~path:(base ^ ".folded")));

@@ -26,6 +26,9 @@ type t = {
   layout : Layout.t;
   meta : meta;
 }
+(** Read-only once assembled: one compiled program is shared by every
+    machine, job and domain of a process (see
+    [Sweep_sim.Harness.compile]), so nothing may write into [code]. *)
 
 exception Undefined_label of string
 exception Duplicate_label of string

@@ -29,8 +29,43 @@ let compile_mode = function
   | Replay -> Pipeline.Replay
   | Sweep -> Pipeline.Sweep
 
+(* Compilation is a pure function of the effective options and the
+   AST, so every job, fleet device and worker of a process shares one
+   compiled program per key, as flashed firmware is shared by every
+   device it runs on.  The key is a digest rather than the AST itself,
+   so large source trees are not kept alive by the table.  A failure is
+   memoised too: a hit re-raises the very exception value of the miss.
+   Resource exhaustion says nothing about the input and is not stored.
+   Compiled programs are shared read-only across domains: nothing after
+   [Program.assemble] writes into [code], [labels] or [meta] (machines
+   decode the code into arrays of their own). *)
+let compile_memo_cap = 64
+
+let compile_memo : (Digest.t, (Pipeline.compiled, exn) result) Sweep_util.Memo.t =
+  Sweep_util.Memo.create ~cap:compile_memo_cap ()
+
+let m_memo_hits = Sweep_obs.Metrics.counter "compiler.memo_hits"
+let m_memo_misses = Sweep_obs.Metrics.counter "compiler.memo_misses"
+let m_memo_entries = Sweep_obs.Metrics.gauge "compiler.memo_entries"
+
 let compile ?(options = Pipeline.default_options) design ast =
-  Pipeline.compile ~options:{ options with Pipeline.mode = compile_mode design } ast
+  let options = { options with Pipeline.mode = compile_mode design } in
+  let key = Digest.string (Marshal.to_string (options, ast) [ Marshal.No_sharing ]) in
+  let compiled, hit =
+    Sweep_util.Memo.find_or_add compile_memo key (fun () ->
+        match Pipeline.compile ~options ast with
+        | c -> Ok c
+        | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+        | exception e -> Error e)
+  in
+  Sweep_obs.Metrics.inc (if hit then m_memo_hits else m_memo_misses);
+  Sweep_obs.Metrics.set m_memo_entries
+    (float_of_int (Sweep_util.Memo.length compile_memo));
+  match compiled with Ok c -> c | Error e -> raise e
+
+let clear_compile_memo () =
+  Sweep_util.Memo.clear compile_memo;
+  Sweep_obs.Metrics.set m_memo_entries 0.0
 
 let machine ?(config = Config.default) design prog =
   match design with

@@ -29,7 +29,23 @@ val compile :
   design ->
   Sweep_lang.Ast.program ->
   Sweep_compiler.Pipeline.compiled
-(** Compiles with the design's mode (overriding [options.mode]). *)
+(** Compiles with the design's mode (overriding [options.mode]).
+
+    Memoised process-wide: the first call for a digest of the effective
+    options and the AST runs {!Sweep_compiler.Pipeline.compile}; later
+    calls return the physically same value, or re-raise the same
+    exception if that compile failed.  The result is shared by every
+    caller and domain and must be treated as read-only.  At most
+    {!compile_memo_cap} programs stay resident (oldest evicted first).
+    Each call counts [compiler.memo_hits] or [compiler.memo_misses] and
+    sets the [compiler.memo_entries] gauge in {!Sweep_obs.Metrics}. *)
+
+val compile_memo_cap : int
+(** 64: a design sweep has about 24 distinct keys, a fleet one per
+    cohort. *)
+
+val clear_compile_memo : unit -> unit
+(** Drop every resident program (tests that count misses). *)
 
 val machine :
   ?config:Sweep_machine.Config.t ->

@@ -152,6 +152,27 @@ let test_protect () =
     | _ -> false
     | exception Exit -> true)
 
+let test_attrib_dir_up_front () =
+  let root = Filename.temp_file "cli-attrib" ".d" in
+  Sys.remove root;
+  let nested = Filename.concat (Filename.concat root "a") "b" in
+  check Alcotest.int "nested dir: runs" 0
+    (Cli.protect (parse_ok [ "--attrib-dir"; nested ]) (fun _ -> 0));
+  Alcotest.(check bool) "created before the first job" true
+    (Sys.is_directory nested);
+  let file = Filename.concat root "f" in
+  close_out (open_out file);
+  let ran = ref false in
+  check Alcotest.int "dir under a file: exit 1" 1
+    (Cli.protect
+       (parse_ok [ "--attrib-dir"; Filename.concat file "x" ])
+       (fun _ -> ran := true; 0));
+  Alcotest.(check bool) "no job ran" false !ran;
+  Sys.remove file;
+  Sys.rmdir nested;
+  Sys.rmdir (Filename.dirname nested);
+  Sys.rmdir root
+
 let suite =
   [
     Alcotest.test_case "run flag defaults" `Quick test_defaults;
@@ -161,4 +182,6 @@ let suite =
     Alcotest.test_case "exit-code mapping" `Quick test_exit_mapping;
     Alcotest.test_case "heartbeat defaults" `Quick test_heartbeat_defaults;
     Alcotest.test_case "protect exit paths" `Quick test_protect;
+    Alcotest.test_case "attrib dir created up front" `Quick
+      test_attrib_dir_up_front;
   ]

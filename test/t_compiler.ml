@@ -224,4 +224,104 @@ let inline_suite =
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_inline_preserves_semantics; prop_inline_then_compile_consistent ]
 
-let suite = suite @ inline_suite
+(* ------------------------------------------------------------------ *)
+(* The process-wide compiled-program memo behind [Harness.compile].     *)
+
+module Metrics = Sweep_obs.Metrics
+
+let memo_counts () =
+  ( Metrics.counter_value (Metrics.counter "compiler.memo_hits"),
+    Metrics.counter_value (Metrics.counter "compiler.memo_misses") )
+
+let memo_entries () =
+  int_of_float (Metrics.gauge_value (Metrics.gauge "compiler.memo_entries"))
+
+(* One design per compile mode. *)
+let mode_designs = [ H.Nvp; H.Replay; H.Sweep ]
+
+let fresh ?(options = Pipeline.default_options) design ast =
+  Pipeline.compile ~options:{ options with Pipeline.mode = H.compile_mode design } ast
+
+let test_memo_matches_fresh () =
+  List.iter
+    (fun w ->
+      let ast = Sweep_workloads.Workload.program ~scale:0.08 w in
+      List.iter
+        (fun design ->
+          let what = w.Sweep_workloads.Workload.name ^ "/" ^ H.design_name design in
+          let c = H.compile design ast in
+          Alcotest.(check bool) (what ^ ": equals a fresh compile") true
+            (c = fresh design ast);
+          Alcotest.(check bool) (what ^ ": repeat is the same value") true
+            (H.compile design ast == c))
+        mode_designs)
+    Sweep_workloads.Registry.all
+
+let test_memo_keys_on_mode () =
+  H.clear_compile_memo ();
+  let ast = Thelpers.tiny_program () in
+  let plain = H.compile H.Nvp ast in
+  let sweep = H.compile H.Sweep ast in
+  check Alcotest.int "two modes, two entries" 2 (memo_entries ());
+  Alcotest.(check bool) "sweep entry is the sweep program" true
+    (sweep = fresh H.Sweep ast && plain = fresh H.Nvp ast);
+  (* NVP and WT-VCache both compile in Plain mode: one shared entry. *)
+  Alcotest.(check bool) "same effective options share" true
+    (H.compile H.Wt ast == plain);
+  check Alcotest.int "still two entries" 2 (memo_entries ())
+
+let fft_failure () =
+  let ast =
+    Sweep_workloads.Workload.program ~scale:0.08
+      (Sweep_workloads.Registry.find "fft")
+  in
+  let options =
+    Pipeline.options_for ~farads:1e-6 ~store_threshold:64 ~max_unroll:1 ()
+  in
+  match H.compile ~options H.Sweep ast with
+  | _ -> Alcotest.fail "fft at 1 uF without unrolling compiled"
+  | exception e -> e
+
+let test_memo_failure () =
+  H.clear_compile_memo ();
+  let h0, m0 = memo_counts () in
+  let miss = fft_failure () in
+  let hit = fft_failure () in
+  let h1, m1 = memo_counts () in
+  check Alcotest.string "the known failure"
+    (Printexc.to_string (Failure "Regions: threshold scan did not converge"))
+    (Printexc.to_string miss);
+  check Alcotest.string "a hit raises the same message"
+    (Printexc.to_string miss) (Printexc.to_string hit);
+  check Alcotest.int "one miss" 1 (m1 - m0);
+  check Alcotest.int "one hit" 1 (h1 - h0)
+
+let test_memo_bounded () =
+  H.clear_compile_memo ();
+  let ast = Thelpers.tiny_program () in
+  let options k = Pipeline.options ~instr_cap:(2_000 + k) () in
+  let n = H.compile_memo_cap + 8 in
+  for k = 0 to n - 1 do
+    ignore (H.compile ~options:(options k) H.Sweep ast);
+    Alcotest.(check bool) "at most cap entries" true
+      (memo_entries () <= H.compile_memo_cap)
+  done;
+  check Alcotest.int "full" H.compile_memo_cap (memo_entries ());
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "key %d still compiles correctly" k)
+        true
+        (H.compile ~options:(options k) H.Sweep ast
+        = fresh ~options:(options k) H.Sweep ast))
+    [ 0; 7; n - 1 ]
+
+let memo_suite =
+  [
+    Alcotest.test_case "memo equals fresh compile" `Slow test_memo_matches_fresh;
+    Alcotest.test_case "memo keys on mode" `Quick test_memo_keys_on_mode;
+    Alcotest.test_case "memo replays a failure" `Quick test_memo_failure;
+    Alcotest.test_case "memo bounded" `Quick test_memo_bounded;
+  ]
+
+let suite = suite @ inline_suite @ memo_suite

@@ -171,6 +171,65 @@ let test_jsonl_sink () =
     (Array.to_list (Sys.readdir dir));
   Unix.rmdir dir
 
+(* 64 jobs over 16 (setting, bench) pairs; NVP and WT-VCache compile
+   alike, so they need 12 distinct programs. *)
+let repeated_jobs () =
+  let pairs =
+    List.concat_map
+      (fun s -> List.map (fun b -> (s, b)) [ "sha"; "dijkstra"; "fft"; "adpcmdec" ])
+      [ C.setting H.Nvp; C.setting H.Wt; C.setting H.Replay; C.sweep_empty_bit ]
+  in
+  List.concat [ pairs; List.rev pairs; pairs; List.rev pairs ]
+
+let test_map_shares_compiles () =
+  let misses () =
+    Sweep_obs.Metrics.counter_value
+      (Sweep_obs.Metrics.counter "compiler.memo_misses")
+  in
+  let pass workers =
+    H.clear_compile_memo ();
+    let m0 = misses () in
+    let summaries =
+      Executor.map ~workers
+        (fun (s, bench) ->
+          C.compute ~scale:0.02 s ~power:Sweep_sim.Driver.Unlimited bench)
+        (repeated_jobs ())
+    in
+    (summaries, misses () - m0)
+  in
+  let seq, seq_misses = pass 1 in
+  let par, _ = pass 4 in
+  check Alcotest.int "64 jobs" 64 (List.length seq);
+  check Alcotest.int "one compile per distinct program at -j 1" 12 seq_misses;
+  List.iteri
+    (fun i (a, b) ->
+      Alcotest.(check bool) (Printf.sprintf "job %d: -j 4 = -j 1" i) true (a = b))
+    (List.combine seq par)
+
+let rec rm_rf p =
+  if Sys.is_directory p then begin
+    Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
+    Sys.rmdir p
+  end
+  else Sys.remove p
+
+let test_nested_attrib_dir () =
+  let root = Filename.temp_file "attrib" ".d" in
+  Sys.remove root;
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
+  ignore
+    (C.compute ~scale:0.02 ~attrib_dir:dir C.sweep_empty_bit
+       ~power:Sweep_sim.Driver.Unlimited "sha");
+  check
+    (Alcotest.list Alcotest.string)
+    "profile written under missing parents"
+    [ ".attrib.json"; ".folded" ]
+    (List.sort compare
+       (List.map
+          (fun f -> if Filename.check_suffix f ".folded" then ".folded" else ".attrib.json")
+          (Array.to_list (Sys.readdir dir))))
+
 let suite =
   [
     Alcotest.test_case "experiment names unique" `Quick test_registry_unique_names;
@@ -191,4 +250,7 @@ let suite =
     Alcotest.test_case "executor skips cached" `Slow
       test_executor_skips_cached;
     Alcotest.test_case "jsonl sink" `Slow test_jsonl_sink;
+    Alcotest.test_case "executor map shares compiles" `Slow
+      test_map_shares_compiles;
+    Alcotest.test_case "nested attrib dir" `Quick test_nested_attrib_dir;
   ]

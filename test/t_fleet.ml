@@ -294,6 +294,25 @@ let test_runner_deterministic_across_parallelism () =
           check Alcotest.int "every device aggregated" spec.Spec.devices
             (Sketch.devices r1.Runner.state)))
 
+(* Every device runs the same firmware: cohorts differ in machine
+   configuration and capacitor, never in compiler options, so the whole
+   two-cohort population compiles exactly once. *)
+let test_runner_compiles_once () =
+  let counter name =
+    Sweep_obs.Metrics.counter_value (Sweep_obs.Metrics.counter name)
+  in
+  Alcotest.(check bool) "both cohorts populated" true
+    (List.for_all (fun (_, n) -> n > 0) (fst (Runner.census spec)));
+  with_tmp_dir (fun dir ->
+      Sweep_sim.Harness.clear_compile_memo ();
+      let m0 = counter "compiler.memo_misses" in
+      let h0 = counter "compiler.memo_hits" in
+      ignore (Result.get_ok (run_fleet ~workers:1 dir));
+      check Alcotest.int "one compile per fleet" 1
+        (counter "compiler.memo_misses" - m0);
+      check Alcotest.int "every other device hits" (spec.Spec.devices - 1)
+        (counter "compiler.memo_hits" - h0))
+
 let test_runner_kill_resume_identity () =
   with_tmp_dir (fun ref_dir ->
       with_tmp_dir (fun dir ->
@@ -456,4 +475,5 @@ let suite =
     Alcotest.test_case "route hash balance" `Quick test_route_hash_balance;
     Alcotest.test_case "status cohort rollup" `Quick test_status_cohort_rollup;
     Alcotest.test_case "fleet view" `Quick test_fleet_view_roundtrip;
+    Alcotest.test_case "runner compiles once" `Quick test_runner_compiles_once;
   ]

@@ -200,6 +200,31 @@ let test_mkdir_p () =
   Sys.rmdir (Filename.dirname leaf);
   Sys.rmdir root
 
+let test_memo () =
+  let module Memo = Sweep_util.Memo in
+  let m = Memo.create ~cap:2 () in
+  let calls = ref 0 in
+  let get k = Memo.find_or_add m k (fun () -> incr calls; [ k ]) in
+  let a, hit_a = get 1 in
+  let a', hit_a' = get 1 in
+  Alcotest.(check (pair bool bool)) "miss, then hit" (false, true) (hit_a, hit_a');
+  Alcotest.(check bool) "a hit is the stored value" true (a == a');
+  ignore (get 2);
+  ignore (get 3);
+  Alcotest.(check int) "bounded" 2 (Memo.length m);
+  Alcotest.(check bool) "the oldest key was evicted" false (snd (get 1));
+  Alcotest.(check int) "four computations" 4 !calls;
+  Alcotest.(check bool) "a raising make stores nothing" true
+    (match Memo.find_or_add m 9 (fun () -> raise Exit) with
+    | _ -> false
+    | exception Exit -> not (snd (get 9)) && Memo.length m = 2);
+  Memo.clear m;
+  Alcotest.(check int) "cleared" 0 (Memo.length m);
+  Alcotest.(check bool) "cap 0 rejected" true
+    (match Memo.create ~cap:0 () with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -221,5 +246,6 @@ let suite =
     Alcotest.test_case "table pads" `Quick test_table_pads_short_rows;
     Alcotest.test_case "float cell" `Quick test_float_cell;
     Alcotest.test_case "mkdir_p" `Quick test_mkdir_p;
+    Alcotest.test_case "memo" `Quick test_memo;
   ]
   @ qsuite
