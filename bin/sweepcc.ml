@@ -129,4 +129,13 @@ let cmd =
   in
   Cmd.v (Cmd.info "sweepcc" ~doc) term
 
-let () = exit (Cmd.eval' cmd)
+(* The exit-code contract of the other binaries (README "Exit codes"),
+   spelled out here: [Sweep_cli.Cli.eval] would link the experiment
+   stack into the compiler driver for one match. *)
+let () =
+  exit
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Help | `Version) -> 0
+    | Error (`Parse | `Term) -> 64 (* EX_USAGE *)
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -280,4 +280,4 @@ let fuzz_cmd =
 let () =
   let doc = "differential crash-consistency checker for SweepCache" in
   let info = Cmd.info "sweepcheck" ~version:"dev" ~doc in
-  exit (Cmd.eval' (Cmd.group info [ sweep_cmd; fuzz_cmd ]))
+  exit (Sweep_cli.Cli.eval (Cmd.group info [ sweep_cmd; fuzz_cmd ]))

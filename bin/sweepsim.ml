@@ -69,9 +69,9 @@ let run_one bench design power config scale verify fault profile
       Some (Obs.Heartbeat.create ?observer ~every:heartbeat_every ())
   in
   let g0 = Gc.quick_stat () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sweep_util.Clock.now_s () in
   let outcome = Driver.run ?fault ?heartbeat ?attrib:at m ~power in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
+  let elapsed_s = Sweep_util.Clock.now_s () -. t0 in
   let r = { H.design; outcome; machine = m; compiled; attrib = at } in
   if profile then begin
     (* One-shot hot-loop profile: wall time, simulated-instruction
@@ -603,4 +603,4 @@ let cmd =
   in
   Cmd.v (Cmd.info "sweepsim" ~doc) term
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Sweep_cli.Cli.eval cmd)

@@ -475,4 +475,4 @@ let cmd =
     [ report_cmd; diff_cmd; bench_cmd; profile_cmd; tune_cmd;
       postmortem_cmd; lint_cmd; fleet_cmd ]
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cli.eval cmd)

@@ -98,9 +98,9 @@ let measure_job_ips ?(min_seconds = 0.2) job =
     let m = Sweep_sim.Harness.machine ~config:s.Exp_common.config
         s.Exp_common.design prog
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Sweep_util.Clock.now_s () in
     let outcome = Sweep_sim.Driver.run m ~power in
-    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
+    elapsed := !elapsed +. (Sweep_util.Clock.now_s () -. t0);
     instructions := !instructions + outcome.Sweep_sim.Driver.instructions
   done;
   float_of_int !instructions /. !elapsed

@@ -20,6 +20,11 @@ type shadow = {
   lines : saved_line list;
 }
 
+(* All-float (flat) scratch for the miss path's fill cost: mutating it
+   allocates nothing, where returning the cost would box it (and a
+   tuple around it) on every miss. *)
+type fill_cost = { mutable f_ns : float; mutable f_joules : float }
+
 type t = {
   cfg : Cfg.t;
   prog : Sweep_isa.Program.t;
@@ -32,6 +37,7 @@ type t = {
   mutable ops : Exec.mem_ops;
   detector : Sweep_energy.Detector.t;
   rename : Pb.t;  (** persistent renamed locations of the open epoch *)
+  fc : fill_cost;
   mutable shadow : shadow option;
 }
 
@@ -81,6 +87,10 @@ let epoch_commit t =
     ~bytes:(List.length lines * Layout.line_bytes);
   t.shadow <- Some { regs; pc; lines }
 
+(* Hit paths make one [Cache.probe] call and work on [Cache.data] and
+   the accumulator's fields directly (DESIGN.md, "Hot-path rule"); a
+   line this design dirties always has dirty region -1, so a store to an
+   already-dirty line skips [Cache.set_dirty]. *)
 let make_ops t =
   let e = e t in
   let hit_ns = float_of_int e.E.cache_hit_cycles *. E.cycle_ns e
@@ -98,81 +108,88 @@ let make_ops t =
   (* Fill the victim way for [addr]: quarantine a dirty victim in the
      rename buffer (a full buffer forces an epoch commit first —
      structural hazard → backup), then fetch the newest line image from
-     the rename buffer or NVM.  Returns the way and the fill cost,
-     grouped (evict ++ fetch) ++ hit like the legacy Cost chain. *)
+     the rename buffer or NVM.  Returns the way; the fill cost, grouped
+     (evict ++ fetch) ++ hit like the legacy Cost chain, lands in
+     [t.fc]. *)
   let fill addr =
     let cache = t.cache in
+    let fc = t.fc in
     let vi = Cache.victim cache addr in
-    let evict_ns, evict_joules =
-      if Cache.valid cache vi && Cache.dirty cache vi then begin
-        let forced_ns, forced_joules =
-          if Pb.count t.rename >= Pb.capacity t.rename then begin
-            let c = epoch_commit_cost t in
-            epoch_commit t;
-            t.stats.Mstats.backup_events <- t.stats.Mstats.backup_events + 1;
-            t.stats.Mstats.f.Mstats.backup_joules <-
-              t.stats.Mstats.f.Mstats.backup_joules +. c.Cost.joules;
-            (c.Cost.ns, c.Cost.joules)
-          end
-          else (0.0, 0.0)
-        in
-        Pb.push_from t.rename ~base:(Cache.line_addr cache vi)
-          ~src:(Cache.data cache) ~src_pos:(Cache.data_pos cache vi);
-        (forced_ns +. nvm_write_ns, forced_joules +. e_nvm_line_write)
-      end
-      else (0.0, 0.0)
-    in
+    fc.f_ns <- 0.0;
+    fc.f_joules <- 0.0;
+    if Cache.valid cache vi && Cache.dirty cache vi then begin
+      if Pb.count t.rename >= Pb.capacity t.rename then begin
+        let c = epoch_commit_cost t in
+        epoch_commit t;
+        t.stats.Mstats.backup_events <- t.stats.Mstats.backup_events + 1;
+        t.stats.Mstats.f.Mstats.backup_joules <-
+          t.stats.Mstats.f.Mstats.backup_joules +. c.Cost.joules;
+        fc.f_ns <- c.Cost.ns;
+        fc.f_joules <- c.Cost.joules
+      end;
+      Pb.push_from t.rename ~base:(Cache.line_addr cache vi)
+        ~src:(Cache.data cache) ~src_pos:(Cache.data_pos cache vi);
+      fc.f_ns <- fc.f_ns +. nvm_write_ns;
+      fc.f_joules <- fc.f_joules +. e_nvm_line_write
+    end;
     let base = Layout.line_base addr in
     Cache.install_victim cache vi addr;
     let scanned =
       Pb.search_into t.rename base ~dst:(Cache.data cache)
         ~dst_pos:(Cache.data_pos cache vi)
     in
-    let fetch_ns, fetch_joules =
-      if scanned > 0 then (lookup_ns, e_lookup)
-      else begin
-        Nvm.read_line_into t.nvm base ~dst:(Cache.data cache)
-          ~dst_pos:(Cache.data_pos cache vi);
-        (lookup_ns +. nvm_read_ns, e_lookup +. e_nvm_read)
-      end
-    in
-    (vi, evict_ns +. fetch_ns +. hit_ns, evict_joules +. fetch_joules +. e_hit)
+    if scanned > 0 then begin
+      fc.f_ns <- fc.f_ns +. lookup_ns +. hit_ns;
+      fc.f_joules <- fc.f_joules +. e_lookup +. e_hit
+    end
+    else begin
+      Nvm.read_line_into t.nvm base ~dst:(Cache.data cache)
+        ~dst_pos:(Cache.data_pos cache vi);
+      fc.f_ns <- fc.f_ns +. (lookup_ns +. nvm_read_ns) +. hit_ns;
+      fc.f_joules <- fc.f_joules +. (e_lookup +. e_nvm_read) +. e_hit
+    end;
+    vi
   in
   Exec.nop_region_ops
     {
       Exec.load =
         (fun addr ->
-          let li = Cache.find t.cache addr in
-          if li <> Cache.no_line then begin
-            Cache.record_hit t.cache;
-            Cache.touch t.cache li;
-            Acc.charge t.acc ~ns:hit_ns ~joules:e_hit;
-            Cache.read_word t.cache li addr
+          let slot = Cache.probe t.cache addr in
+          if slot <> Cache.no_line then begin
+            let a = t.acc in
+            a.Acc.ns <- a.Acc.ns +. hit_ns;
+            a.Acc.joules <- a.Acc.joules +. e_hit;
+            Array.unsafe_get t.cache.Cache.data slot
           end
           else begin
             Cache.record_miss t.cache;
-            let vi, ns, joules = fill addr in
-            Acc.charge t.acc ~ns ~joules;
+            let vi = fill addr in
+            let a = t.acc in
+            a.Acc.ns <- a.Acc.ns +. t.fc.f_ns;
+            a.Acc.joules <- a.Acc.joules +. t.fc.f_joules;
             Cache.read_word t.cache vi addr
           end);
       store =
         (fun addr value ->
-          let li = Cache.find t.cache addr in
-          if li <> Cache.no_line then begin
-            Cache.record_hit t.cache;
-            Cache.touch t.cache li;
-            Cache.write_word t.cache li addr value;
-            Cache.set_dirty t.cache li ~region:(-1);
-            Acc.charge t.acc ~ns:(hit_ns +. rename_check_ns)
-              ~joules:(e_hit +. e_rename_check)
+          let c = t.cache in
+          let slot = Cache.probe c addr in
+          if slot <> Cache.no_line then begin
+            let li = slot lsr Cache.slot_shift in
+            Array.unsafe_set c.Cache.data slot value;
+            if Array.unsafe_get c.Cache.dirty li = 0 then
+              Cache.set_dirty c li ~region:(-1);
+            let a = t.acc in
+            a.Acc.ns <- a.Acc.ns +. (hit_ns +. rename_check_ns);
+            a.Acc.joules <- a.Acc.joules +. (e_hit +. e_rename_check)
           end
           else begin
-            Cache.record_miss t.cache;
-            let vi, ns, joules = fill addr in
-            Cache.write_word t.cache vi addr value;
-            Cache.set_dirty t.cache vi ~region:(-1);
-            Acc.charge t.acc ~ns:(ns +. rename_check_ns)
-              ~joules:(joules +. e_rename_check)
+            Cache.record_miss c;
+            let vi = fill addr in
+            Cache.write_word c vi addr value;
+            Cache.set_dirty c vi ~region:(-1);
+            let a = t.acc in
+            a.Acc.ns <- a.Acc.ns +. (t.fc.f_ns +. rename_check_ns);
+            a.Acc.joules <- a.Acc.joules +. (t.fc.f_joules +. e_rename_check)
           end);
       clwb = (fun _ -> ());
       fence = (fun () -> ());
@@ -206,6 +223,7 @@ let create cfg prog =
       ops = Exec.null_ops;
       detector;
       rename = Pb.create ~capacity:(max 1 cfg.Cfg.rename_entries);
+      fc = { f_ns = 0.0; f_joules = 0.0 };
       shadow = None;
     }
   in

@@ -30,15 +30,21 @@ let make_ops t =
   and e_nvm_read = e.E.e_nvm_read
   and nvm_write_ns = e.E.nvm_write_ns
   and e_nvm_write = e.E.e_nvm_write in
+  (* One [Nvm] call per access; the charge is the accumulator's fields
+     in place (DESIGN.md, "Hot-path rule"). *)
   Exec.nop_region_ops
     {
       Exec.load =
         (fun addr ->
-          Acc.charge t.acc ~ns:nvm_read_ns ~joules:e_nvm_read;
+          let a = t.acc in
+          a.Acc.ns <- a.Acc.ns +. nvm_read_ns;
+          a.Acc.joules <- a.Acc.joules +. e_nvm_read;
           Nvm.read_word t.nvm addr);
       store =
         (fun addr value ->
-          Acc.charge t.acc ~ns:nvm_write_ns ~joules:e_nvm_write;
+          let a = t.acc in
+          a.Acc.ns <- a.Acc.ns +. nvm_write_ns;
+          a.Acc.joules <- a.Acc.joules +. e_nvm_write;
           Nvm.write_word t.nvm addr value);
       clwb = (fun _ -> ());
       fence = (fun () -> ());

@@ -36,7 +36,11 @@ let e (t : state) = t.cfg.Cfg.energy
 (* Standard write-back memory path (shared by NVSRAM and NVSRAM-E —
    only the backup scope differs): dirty victims go straight to their
    NVM home (no redo buffer here — crash consistency comes from the
-   JIT backup of the whole cache). *)
+   JIT backup of the whole cache).  Hit paths make one [Cache.probe]
+   call and work on [Cache.data] and the accumulator's fields directly
+   (DESIGN.md, "Hot-path rule"); a line only this design dirties always
+   has dirty region -1, so a store to an already-dirty line skips
+   [Cache.set_dirty]. *)
 let make_ops (t : state) =
   let e = e t in
   let hit_ns = float_of_int e.E.cache_hit_cycles *. E.cycle_ns e
@@ -50,33 +54,31 @@ let make_ops (t : state) =
   let fill addr =
     let cache = t.cache in
     let vi = Cache.victim cache addr in
-    let evict_ns, evict_joules =
-      if Cache.valid cache vi && Cache.dirty cache vi then begin
-        Nvm.write_line_from t.nvm (Cache.line_addr cache vi)
-          ~src:(Cache.data cache) ~src_pos:(Cache.data_pos cache vi);
-        (nvm_write_ns, e_nvm_line_write)
-      end
-      else (0.0, 0.0)
-    in
+    let dirty = Cache.valid cache vi && Cache.dirty cache vi in
+    if dirty then
+      Nvm.write_line_from t.nvm (Cache.line_addr cache vi)
+        ~src:(Cache.data cache) ~src_pos:(Cache.data_pos cache vi);
+    let evict_ns = if dirty then nvm_write_ns else 0.0
+    and evict_joules = if dirty then e_nvm_line_write else 0.0 in
     let base = Layout.line_base addr in
     Cache.install_victim cache vi addr;
     Nvm.read_line_into t.nvm base ~dst:(Cache.data cache)
       ~dst_pos:(Cache.data_pos cache vi);
-    Acc.charge t.acc
-      ~ns:(evict_ns +. nvm_read_ns +. hit_ns)
-      ~joules:(evict_joules +. e_nvm_read +. e_hit);
+    let a = t.acc in
+    a.Acc.ns <- a.Acc.ns +. (evict_ns +. nvm_read_ns +. hit_ns);
+    a.Acc.joules <- a.Acc.joules +. (evict_joules +. e_nvm_read +. e_hit);
     vi
   in
   Exec.nop_region_ops
     {
       Exec.load =
         (fun addr ->
-          let li = Cache.find t.cache addr in
-          if li <> Cache.no_line then begin
-            Cache.record_hit t.cache;
-            Cache.touch t.cache li;
-            Acc.charge t.acc ~ns:hit_ns ~joules:e_hit;
-            Cache.read_word t.cache li addr
+          let slot = Cache.probe t.cache addr in
+          if slot <> Cache.no_line then begin
+            let a = t.acc in
+            a.Acc.ns <- a.Acc.ns +. hit_ns;
+            a.Acc.joules <- a.Acc.joules +. e_hit;
+            Array.unsafe_get t.cache.Cache.data slot
           end
           else begin
             Cache.record_miss t.cache;
@@ -85,13 +87,16 @@ let make_ops (t : state) =
           end);
       store =
         (fun addr value ->
-          let li = Cache.find t.cache addr in
-          if li <> Cache.no_line then begin
-            Cache.record_hit t.cache;
-            Cache.touch t.cache li;
-            Cache.write_word t.cache li addr value;
-            Cache.set_dirty t.cache li ~region:(-1);
-            Acc.charge t.acc ~ns:hit_ns ~joules:e_hit
+          let c = t.cache in
+          let slot = Cache.probe c addr in
+          if slot <> Cache.no_line then begin
+            let li = slot lsr Cache.slot_shift in
+            Array.unsafe_set c.Cache.data slot value;
+            if Array.unsafe_get c.Cache.dirty li = 0 then
+              Cache.set_dirty c li ~region:(-1);
+            let a = t.acc in
+            a.Acc.ns <- a.Acc.ns +. hit_ns;
+            a.Acc.joules <- a.Acc.joules +. e_hit
           end
           else begin
             Cache.record_miss t.cache;

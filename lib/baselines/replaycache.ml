@@ -63,7 +63,7 @@ let sync t now =
 
 (* Hot-path variant reading the clock from the accumulator: a float
    argument would be boxed at every call without flambda. *)
-let sync_clock t =
+let[@inline] sync_clock t =
   let now = t.acc.Acc.now in
   let cap = Float.Array.length t.pend in
   while t.p_count > 0 && Float.Array.get t.pend t.p_head <= now do
@@ -81,6 +81,8 @@ let clear_pending t =
   t.p_head <- 0;
   t.p_count <- 0
 
+(* Hit paths make one [Cache.probe] call and work on [Cache.data] and
+   the accumulator's fields directly (DESIGN.md, "Hot-path rule"). *)
 let make_ops t =
   let e = e t in
   let hit_ns = float_of_int e.E.cache_hit_cycles *. E.cycle_ns e
@@ -118,12 +120,12 @@ let make_ops t =
     Exec.load =
       (fun addr ->
         sync_clock t;
-        let li = Cache.find t.cache addr in
-        if li <> Cache.no_line then begin
-          Cache.record_hit t.cache;
-          Cache.touch t.cache li;
-          Acc.charge t.acc ~ns:hit_ns ~joules:e_hit;
-          Cache.read_word t.cache li addr
+        let slot = Cache.probe t.cache addr in
+        if slot <> Cache.no_line then begin
+          let a = t.acc in
+          a.Acc.ns <- a.Acc.ns +. hit_ns;
+          a.Acc.joules <- a.Acc.joules +. e_hit;
+          Array.unsafe_get t.cache.Cache.data slot
         end
         else begin
           Cache.record_miss t.cache;
@@ -133,13 +135,17 @@ let make_ops t =
     store =
       (fun addr value ->
         sync_clock t;
-        let li = Cache.find t.cache addr in
-        if li <> Cache.no_line then begin
-          Cache.record_hit t.cache;
-          Cache.touch t.cache li;
-          Cache.write_word t.cache li addr value;
-          Cache.set_dirty t.cache li ~region:(-1);
-          Acc.charge t.acc ~ns:hit_ns ~joules:e_hit
+        let c = t.cache in
+        let slot = Cache.probe c addr in
+        if slot <> Cache.no_line then begin
+          let li = slot lsr Cache.slot_shift in
+          Array.unsafe_set c.Cache.data slot value;
+          (* Dirty lines here always carry region -1. *)
+          if Array.unsafe_get c.Cache.dirty li = 0 then
+            Cache.set_dirty c li ~region:(-1);
+          let a = t.acc in
+          a.Acc.ns <- a.Acc.ns +. hit_ns;
+          a.Acc.joules <- a.Acc.joules +. e_hit
         end
         else begin
           Cache.record_miss t.cache;
@@ -155,7 +161,9 @@ let make_ops t =
       (fun addr ->
         sync_clock t;
         let now0 = t.acc.Acc.now in
-        let base = Layout.line_base addr in
+        (* [Layout.line_base], spelled out: a call under [-opaque], and
+           a clwb follows every store here. *)
+        let base = addr land lnot 63 in
         let stall =
           if t.p_count >= t.cfg.Cfg.replay_queue then
             if t.p_count > 0 then begin

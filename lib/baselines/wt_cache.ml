@@ -27,6 +27,8 @@ type t = {
 
 let e t = t.cfg.Cfg.energy
 
+(* Hit paths make one [Cache.probe] call and then use [Cache.data] and
+   the accumulator's fields directly (DESIGN.md, "Hot-path rule"). *)
 let make_ops t =
   let e = e t in
   let hit_ns = float_of_int e.E.cache_hit_cycles *. E.cycle_ns e
@@ -39,12 +41,12 @@ let make_ops t =
     {
       Exec.load =
         (fun addr ->
-          let li = Cache.find t.cache addr in
-          if li <> Cache.no_line then begin
-            Cache.record_hit t.cache;
-            Cache.touch t.cache li;
-            Acc.charge t.acc ~ns:hit_ns ~joules:e_hit;
-            Cache.read_word t.cache li addr
+          let slot = Cache.probe t.cache addr in
+          if slot <> Cache.no_line then begin
+            let a = t.acc in
+            a.Acc.ns <- a.Acc.ns +. hit_ns;
+            a.Acc.joules <- a.Acc.joules +. e_hit;
+            Array.unsafe_get t.cache.Cache.data slot
           end
           else begin
             Cache.record_miss t.cache;
@@ -55,22 +57,23 @@ let make_ops t =
             Cache.install_victim t.cache vi addr;
             Nvm.read_line_into t.nvm base ~dst:(Cache.data t.cache)
               ~dst_pos:(Cache.data_pos t.cache vi);
-            Acc.charge t.acc ~ns:miss_ns ~joules:e_miss;
+            let a = t.acc in
+            a.Acc.ns <- a.Acc.ns +. miss_ns;
+            a.Acc.joules <- a.Acc.joules +. e_miss;
             Cache.read_word t.cache vi addr
           end);
       store =
         (fun addr value ->
           (* Write-through, no-write-allocate: update the line if
              present, and always write NVM synchronously. *)
-          let li = Cache.find t.cache addr in
-          if li <> Cache.no_line then begin
-            Cache.record_hit t.cache;
-            Cache.touch t.cache li;
-            Cache.write_word t.cache li addr value
-          end
+          let slot = Cache.probe t.cache addr in
+          if slot <> Cache.no_line then
+            Array.unsafe_set t.cache.Cache.data slot value
           else Cache.record_miss t.cache;
           Nvm.write_word t.nvm addr value;
-          Acc.charge t.acc ~ns:nvm_write_ns ~joules:e_nvm_write);
+          let a = t.acc in
+          a.Acc.ns <- a.Acc.ns +. nvm_write_ns;
+          a.Acc.joules <- a.Acc.joules +. e_nvm_write);
       clwb = (fun _ -> ());
       fence = (fun () -> ());
       region_end = (fun () -> ());

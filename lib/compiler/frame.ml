@@ -91,7 +91,12 @@ let alloc_spill t name =
   slot
 
 let data_limit t = t.cursor
-let initial_data t = t.init
+(* [init] is newest-first, and that is the loader's poke order. *)
+let initial_data t =
+  {
+    Program.addrs = Array.of_list (List.map fst t.init);
+    values = Array.of_list (List.map snd t.init);
+  }
 let globals_extent t = (Layout.default_data_base, t.globals_hi)
 
 let global_names t =

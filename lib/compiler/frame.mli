@@ -32,9 +32,9 @@ val alloc_spill : t -> string -> int
 val data_limit : t -> int
 (** One past the last allocated byte (for {!Sweep_isa.Layout.make}). *)
 
-val initial_data : t -> (int * int) list
-(** Loader image: (byte address, word value) for all non-zero
-    initialisers. *)
+val initial_data : t -> Sweep_isa.Program.data
+(** Loader image: the byte address and word of every non-zero
+    initialiser, in poke order. *)
 
 val globals_extent : t -> int * int
 (** [lo, hi) byte bounds of the pure-globals area (excluding frames) —

@@ -154,10 +154,15 @@ let sync t now =
   t.scr.clock <- now;
   sync_at t
 
-(* Hot-path variant: the clock comes from the accumulator. *)
-let sync_clock t =
-  t.scr.clock <- t.acc.Acc.now;
-  sync_at t
+(* Hot-path variant: the clock comes from the accumulator, and the
+   fast-path test is inlined so an access between phase deadlines makes
+   no call at all. *)
+let[@inline] sync_clock t =
+  let now = t.acc.Acc.now in
+  if now >= t.scr.dma_next then begin
+    t.scr.clock <- now;
+    sync_at t
+  end
 
 let active_buf t = t.bufs.(t.active)
 
@@ -171,14 +176,18 @@ let rec buf_idx_from bufs seq i =
 
 let buf_idx_of_seq t seq = buf_idx_from t.bufs seq 0
 
-let mark_dirty t li =
-  let buf = active_buf t in
+(* Only a line's first store in a region makes calls (into [Cache] and
+   the WBI table); a re-store is two field loads. *)
+let[@inline] mark_dirty t li =
+  let seq = (Array.unsafe_get t.bufs t.active).seq in
+  let c = t.cache in
   (* A dirty line here must belong to the current region: stores to a
      prior region's dirty lines stall until the flush cleans them. *)
-  assert ((not (Cache.dirty t.cache li)) || Cache.dirty_region t.cache li = buf.seq);
-  if not (Cache.dirty t.cache li) then begin
-    Cache.set_dirty t.cache li ~region:buf.seq;
-    Wbi_table.mark t.wbi (Cache.line_addr t.cache li)
+  if Array.unsafe_get c.Cache.dirty li = 1 then
+    assert (Array.unsafe_get c.Cache.dirty_region li = seq)
+  else begin
+    Cache.set_dirty c li ~region:seq;
+    Wbi_table.mark t.wbi (Array.unsafe_get c.Cache.base li)
   end
 
 (* Region boundary (§3.2): seal the active buffer — flush the region's
@@ -433,6 +442,9 @@ let fetch_into t vi base =
   consult t base ~dst_pos:(Cache.data_pos t.cache vi) ~searched:false
     ~scanned:0 ~visited:0
 
+(* Hit paths make one [Cache.probe] call and then work on [Cache.data]
+   and the accumulator's fields directly (DESIGN.md, "Hot-path rule");
+   [a.ns <- a.ns +. x] is [Acc.charge]'s own grouping. *)
 let make_ops t =
   let e = e t in
   let hit_ns = float_of_int e.E.cache_hit_cycles *. E.cycle_ns e
@@ -441,18 +453,18 @@ let make_ops t =
     Exec.load =
       (fun addr ->
         sync_clock t;
-        let now = t.acc.Acc.now in
-        let li = Cache.find t.cache addr in
-        if li <> Cache.no_line then begin
-          Cache.record_hit t.cache;
-          Cache.touch t.cache li;
-          Acc.charge t.acc ~ns:hit_ns ~joules:e_hit;
-          Cache.read_word t.cache li addr
+        let slot = Cache.probe t.cache addr in
+        if slot <> Cache.no_line then begin
+          let a = t.acc in
+          a.Acc.ns <- a.Acc.ns +. hit_ns;
+          a.Acc.joules <- a.Acc.joules +. e_hit;
+          Array.unsafe_get t.cache.Cache.data slot
         end
         else begin
           Cache.record_miss t.cache;
           if Sink.on () then
-            Sink.emit ~ns:now (Ev.Cache_miss { addr; write = false });
+            Sink.emit ~ns:t.acc.Acc.now
+              (Ev.Cache_miss { addr; write = false });
           let vi = evict_for t addr in
           let base = Layout.line_base addr in
           Cache.install_victim t.cache vi addr;
@@ -466,17 +478,22 @@ let make_ops t =
     store =
       (fun addr value ->
         sync_clock t;
-        let now = t.acc.Acc.now in
-        let li = Cache.find t.cache addr in
-        if li <> Cache.no_line then begin
-          Cache.record_hit t.cache;
+        let c = t.cache in
+        (* [probe] touches the line before the write-after-write check
+           below; that check reads no LRU state, so the order is
+           unobservable. *)
+        let slot = Cache.probe c addr in
+        if slot <> Cache.no_line then begin
+          let li = slot lsr Cache.slot_shift in
           let waw_ns =
             if
-              Cache.dirty t.cache li
-              && Cache.dirty_region t.cache li <> (active_buf t).seq
+              Array.unsafe_get c.Cache.dirty li = 1
+              && Array.unsafe_get c.Cache.dirty_region li
+                 <> (Array.unsafe_get t.bufs t.active).seq
             then begin
               (* §4.3: the line belongs to a prior region still in
                  s-phase1. *)
+              let now = t.acc.Acc.now in
               let bi = buf_idx_of_seq t (Cache.dirty_region t.cache li) in
               if bi >= 0 && t.bufs.(bi).state = Phase1 then begin
                 let prior = t.bufs.(bi) in
@@ -502,8 +519,7 @@ let make_ops t =
             end
             else 0.0
           in
-          Cache.touch t.cache li;
-          Cache.write_word t.cache li addr value;
+          Array.unsafe_set c.Cache.data slot value;
           mark_dirty t li;
           let a = t.acc in
           a.Acc.ns <- a.Acc.ns +. (waw_ns +. hit_ns);
@@ -512,7 +528,7 @@ let make_ops t =
         else begin
           Cache.record_miss t.cache;
           if Sink.on () then
-            Sink.emit ~ns:now (Ev.Cache_miss { addr; write = true });
+            Sink.emit ~ns:t.acc.Acc.now (Ev.Cache_miss { addr; write = true });
           let vi = evict_for t addr in
           let base = Layout.line_base addr in
           Cache.install_victim t.cache vi addr;

@@ -6,6 +6,7 @@ module Metrics = Sweep_obs.Metrics
 module Hb = Sweep_obs.Heartbeat
 module Flight = Sweep_obs.Flight
 module Om = Sweep_obs.Openmetrics
+module Clock = Sweep_util.Clock
 
 (* Worker count is process-global configuration (the -j flag), read at
    execute time.  1 means fully sequential: no domain is spawned, which
@@ -44,8 +45,8 @@ let config ?(progress = false) ?(heartbeat_every = 0) ?status ?flight ?export
 (* Wall-clock origin for Job_start/Job_done timestamps: simulation events
    carry simulated ns, executor events carry host ns since process
    start — the Chrome sink keeps them on separate process tracks. *)
-let epoch_s = Unix.gettimeofday ()
-let wall_ns () = (Unix.gettimeofday () -. epoch_s) *. 1.0e9
+let epoch_s = Clock.now_s ()
+let wall_ns () = (Clock.now_s () -. epoch_s) *. 1.0e9
 
 let m_jobs_run = Metrics.counter "exp.jobs_run"
 let m_jobs_cached = Metrics.counter "exp.jobs_cached"
@@ -100,7 +101,7 @@ let run_job st j =
     let sim_budget_ns = st.budget j in
     let heartbeat = heartbeat_for st ~key in
     Option.iter (fun s -> Status.job_started s ~key) st.cfg.status;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_s () in
     match
       Exp_common.compute ~scale:j.Jobs.scale ?sim_budget_ns ?heartbeat
         ?attrib_dir:st.cfg.attrib_dir j.Jobs.setting ~power j.Jobs.bench
@@ -109,7 +110,7 @@ let run_job st j =
        structured Failed result: the pool keeps draining, renderers see
        a missing key, and the CLI reports the failure at the end. *)
     | exception exn ->
-      let elapsed_s = Unix.gettimeofday () -. t0 in
+      let elapsed_s = Clock.now_s () -. t0 in
       let backtrace = Printexc.get_backtrace () in
       let error = Printexc.to_string exn in
       Results.record_failure ~key ~error ~backtrace;
@@ -130,7 +131,7 @@ let run_job st j =
       Option.iter Om.tick st.cfg.export;
       note_progress st (key ^ " FAILED: " ^ error) elapsed_s
     | summary ->
-      let elapsed_s = Unix.gettimeofday () -. t0 in
+      let elapsed_s = Clock.now_s () -. t0 in
       if Sink.on () then
         Sink.emit ~ns:(wall_ns ()) (Ev.Job_done { key; elapsed_s });
       if Metrics.enabled () then begin

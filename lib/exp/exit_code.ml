@@ -1,4 +1,5 @@
-(* Process exit codes shared by sweepexp and sweeptune.
+(* Process exit codes shared by sweepexp, sweeptune and sweepfleet; 64
+   is every binary's usage-error code.
 
    Documented in the README ("Exit codes") and asserted by tests and
    CI — scripts branch on these, so they are API:

@@ -1,5 +1,7 @@
-(** Exit codes shared by [sweepexp] and [sweeptune] (see README "Exit
-    codes"): scripts and CI branch on these, so they are API. *)
+(** Exit codes shared by [sweepexp], [sweeptune] and [sweepfleet] (see
+    README "Exit codes"): scripts and CI branch on these, so they are
+    API.  {!usage} is every binary's code for a command-line usage
+    error. *)
 
 val clean : int
 (** [0] — everything ran, nothing failed. *)

@@ -121,9 +121,9 @@ let run ?(scale = 1.0) s ~power bench =
   match Results.find key with
   | Some r -> r
   | None ->
-    let t0 = Unix.gettimeofday () in
+    let t0 = Sweep_util.Clock.now_s () in
     let summary = compute ~scale s ~power bench in
-    let elapsed_s = Unix.gettimeofday () -. t0 in
+    let elapsed_s = Sweep_util.Clock.now_s () -. t0 in
     let stored = Results.add ~key summary in
     if stored == summary then
       Results.emit

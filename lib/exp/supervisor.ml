@@ -39,6 +39,7 @@ module Hb = Sweep_obs.Heartbeat
 module Flight = Sweep_obs.Flight
 module Om = Sweep_obs.Openmetrics
 module Rng = Sweep_util.Rng
+module Clock = Sweep_util.Clock
 
 type policy = {
   workers : int;
@@ -174,8 +175,11 @@ let close_slot_io s =
   s.from_w <- None;
   Buffer.clear s.rbuf
 
-let epoch_s = Unix.gettimeofday ()
-let wall_ns () = (Unix.gettimeofday () -. epoch_s) *. 1.0e9
+(* Liveness, back-off and trace timestamps all run on the monotonic
+   clock: a wall-clock step would otherwise disable the worker timeout
+   (backwards) or SIGKILL healthy workers (forwards). *)
+let epoch_s = Clock.now_s ()
+let wall_ns () = (Clock.now_s () -. epoch_s) *. 1.0e9
 
 let send_frame s frame =
   match s.to_w with
@@ -203,7 +207,7 @@ let spawn ~heartbeat_every ~attrib_dir s =
   s.to_w <- Some (Unix.out_channel_of_descr w_in);
   s.from_w <- Some r_out;
   Buffer.clear s.rbuf;
-  s.last_activity <- Unix.gettimeofday ();
+  s.last_activity <- Clock.now_s ();
   s.kill_reason <- None;
   the_stats.spawns <- the_stats.spawns + 1;
   if Metrics.enabled () then Metrics.inc m_spawns;
@@ -313,7 +317,7 @@ let dispatch ctx s =
     if Sink.on () then Sink.emit ~ns:(wall_ns ()) (Ev.Job_start { key });
     Option.iter (fun st -> Status.job_started st ~key) ctx.status;
     s.inflight <- Some (job, attempt);
-    s.last_activity <- Unix.gettimeofday ();
+    s.last_activity <- Clock.now_s ();
     if
       not
         (send_frame s
@@ -328,7 +332,7 @@ let dispatch ctx s =
 
 let handle_frame ctx s = function
   | Wire.Beat { key; instructions; sim_ns; reboots; nvm_writes; beats } ->
-    s.last_activity <- Unix.gettimeofday ();
+    s.last_activity <- Clock.now_s ();
     Option.iter
       (fun st ->
         Status.beat_counts st ~key ~instructions ~sim_ns ~reboots ~nvm_writes
@@ -336,7 +340,7 @@ let handle_frame ctx s = function
       ctx.status;
     Option.iter Om.tick ctx.export
   | Wire.Done { key; elapsed_s; summary } -> (
-    s.last_activity <- Unix.gettimeofday ();
+    s.last_activity <- Clock.now_s ();
     match s.inflight with
     | Some (job, _) when Jobs.key job = key ->
       s.inflight <- None;
@@ -344,7 +348,7 @@ let handle_frame ctx s = function
       ctx.pool.chaos_done <- ctx.pool.chaos_done + 1
     | _ -> () (* stale frame from a superseded dispatch: drop *))
   | Wire.Failed { key; error; backtrace } -> (
-    s.last_activity <- Unix.gettimeofday ();
+    s.last_activity <- Clock.now_s ();
     match s.inflight with
     | Some (job, _) when Jobs.key job = key ->
       s.inflight <- None;
@@ -409,7 +413,7 @@ let handle_death ctx s ~reason =
     if ctx.pool.respawns_used >= p.respawn_budget then retire ctx s
     else
       s.respawn_at <-
-        Unix.gettimeofday () +. backoff_delay_s p ~slot:s.id ~nth:s.respawns
+        Clock.now_s () +. backoff_delay_s p ~slot:s.id ~nth:s.respawns
   end
 
 let reap ctx =
@@ -436,7 +440,7 @@ let reap ctx =
 let check_timeouts ctx =
   let p = ctx.pool.policy in
   if p.worker_timeout_s > 0.0 then
-    let now = Unix.gettimeofday () in
+    let now = Clock.now_s () in
     Array.iter
       (fun s ->
         if
@@ -480,7 +484,7 @@ let check_chaos ctx =
 let check_respawns ctx ~heartbeat_every ~attrib_dir =
   let pool = ctx.pool in
   let p = pool.policy in
-  let now = Unix.gettimeofday () in
+  let now = Clock.now_s () in
   Array.iter
     (fun s ->
       if (not (alive s)) && (not s.retired) && s.queue <> [] then
@@ -556,14 +560,14 @@ let shutdown () =
         close_slot_io s)
       pool.slots;
     (* Give workers a moment to exit on Quit/EOF, then force. *)
-    let deadline = Unix.gettimeofday () +. 2.0 in
+    let deadline = Clock.now_s () +. 2.0 in
     Array.iter
       (fun s ->
         if alive s then begin
           let rec wait () =
             match Unix.waitpid [ Unix.WNOHANG ] s.pid with
             | 0, _ ->
-              if Unix.gettimeofday () < deadline then begin
+              if Clock.now_s () < deadline then begin
                 ignore (Unix.select [] [] [] 0.02);
                 wait ()
               end

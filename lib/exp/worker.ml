@@ -33,7 +33,7 @@ let run_job ~heartbeat_every ~attrib_dir (key : string) (spec : Jobs.t)
   let heartbeat =
     Sweep_obs.Heartbeat.create ~observer ~every:heartbeat_every ()
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sweep_util.Clock.now_s () in
   match
     Exp_common.compute ~scale:spec.Jobs.scale ?sim_budget_ns ~heartbeat
       ?attrib_dir spec.Jobs.setting
@@ -41,7 +41,7 @@ let run_job ~heartbeat_every ~attrib_dir (key : string) (spec : Jobs.t)
       spec.Jobs.bench
   with
   | summary ->
-    send (Wire.Done { key; elapsed_s = Unix.gettimeofday () -. t0; summary })
+    send (Wire.Done { key; elapsed_s = Sweep_util.Clock.now_s () -. t0; summary })
   | exception e ->
     let backtrace = Printexc.get_backtrace () in
     send (Wire.Failed { key; error = Printexc.to_string e; backtrace })

@@ -4,9 +4,13 @@ type item =
   | Label of label
   | Ins of label Instr.t
 
+type data = { addrs : int array; values : int array }
+
+let no_data = { addrs = [||]; values = [||] }
+
 type meta = {
   functions : (string * label) list;
-  initial_data : (int * int) list;
+  initial_data : data;
 }
 
 type t = {
@@ -20,7 +24,7 @@ type t = {
 exception Undefined_label of string
 exception Duplicate_label of string
 
-let empty_meta = { functions = []; initial_data = [] }
+let empty_meta = { functions = []; initial_data = no_data }
 
 let assemble ?(meta = empty_meta) ~layout ~entry items =
   let table = Hashtbl.create 64 in

@@ -11,12 +11,23 @@ type item =
   | Label of label
   | Ins of label Instr.t
 
+type data = {
+  addrs : int array;   (** byte addresses *)
+  values : int array;  (** the word for [addrs.(i)] is [values.(i)] *)
+}
+(** Initial NVM words as two parallel int arrays, in poke order (a later
+    entry for the same address wins): 2 heap words per word of data,
+    where an [(int * int) list] took 6 — and a compiled program stays
+    resident in the compile memo. *)
+
+val no_data : data
+
 type meta = {
   functions : (string * label) list;
       (** Source-function name and its entry label, in layout order. *)
-  initial_data : (int * int) list;
-      (** [(byte address, word value)] pairs the loader writes into NVM
-          before execution — workload input data. *)
+  initial_data : data;
+      (** The words the loader writes into NVM before execution —
+          workload input data. *)
 }
 
 type t = {

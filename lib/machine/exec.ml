@@ -39,10 +39,6 @@ module Acc = struct
     t.cycle_ns <- E.cycle_ns e;
     t.e_cycle <- e.E.e_cycle;
     t.e_stall_cycle <- e.E.e_stall_cycle
-
-  let charge t ~ns ~joules =
-    t.ns <- t.ns +. ns;
-    t.joules <- t.joules +. joules
 end
 
 (* The ops read the current simulation time from their machine's
@@ -100,6 +96,19 @@ let[@inline] finalize (acc : Acc.t) =
          +. (extra_ns /. acc.Acc.cycle_ns *. acc.Acc.e_stall_cycle))
   end
 
+(* Per-instruction counters, bumped in place: these helpers live here,
+   not in [Mstats], because a call into another unit is never inlined
+   in the default [-opaque] build. *)
+let[@inline] note_instr (s : Mstats.t) =
+  s.instructions <- s.instructions + 1;
+  s.cur_region_instrs <- s.cur_region_instrs + 1
+
+let[@inline] note_load (s : Mstats.t) = s.loads <- s.loads + 1
+
+let[@inline] note_store (s : Mstats.t) =
+  s.stores <- s.stores + 1;
+  s.cur_region_stores <- s.cur_region_stores + 1
+
 let step (cpu : Cpu.t) (dec : D.t) stats ops (acc : Acc.t) =
   if cpu.halted then begin
     acc.Acc.ns <- 0.0;
@@ -115,7 +124,7 @@ let step (cpu : Cpu.t) (dec : D.t) stats ops (acc : Acc.t) =
     let x = Array.unsafe_get dec.D.x pc in
     let y = Array.unsafe_get dec.D.y pc in
     let z = Array.unsafe_get dec.D.z pc in
-    Mstats.note_instr stats;
+    note_instr stats;
     let next = pc + 1 in
     (* Register accesses are unsafe for the same reason as the operand
        reads above: every register operand was checked against
@@ -233,20 +242,20 @@ let step (cpu : Cpu.t) (dec : D.t) stats ops (acc : Acc.t) =
     | 34 -> Array.unsafe_set regs x (Array.unsafe_get regs y); cpu.pc <- next
     (* 35 Load / 36 Load_abs *)
     | 35 ->
-      Mstats.note_load stats;
+      note_load stats;
       Array.unsafe_set regs x (ops.load (Array.unsafe_get regs y + z));
       cpu.pc <- next
     | 36 ->
-      Mstats.note_load stats;
+      note_load stats;
       Array.unsafe_set regs x (ops.load z);
       cpu.pc <- next
     (* 37 Store / 38 Store_abs *)
     | 37 ->
-      Mstats.note_store stats;
+      note_store stats;
       ops.store (Array.unsafe_get regs y + z) (Array.unsafe_get regs x);
       cpu.pc <- next
     | 38 ->
-      Mstats.note_store stats;
+      note_store stats;
       ops.store z (Array.unsafe_get regs x);
       cpu.pc <- next
     (* 39 Jmp / 40 Jmp_reg / 41 Call *)
@@ -296,7 +305,7 @@ let step_reference (cpu : Cpu.t) (prog : Sweep_isa.Program.t) stats ops
     acc.Acc.joules <- 0.0;
     let regs = cpu.regs in
     let ins = prog.code.(cpu.pc) in
-    Mstats.note_instr stats;
+    note_instr stats;
     let next = cpu.pc + 1 in
     (match ins with
     | I.Movi (rd, n) ->
@@ -318,19 +327,19 @@ let step_reference (cpu : Cpu.t) (prog : Sweep_isa.Program.t) stats ops
       regs.(rd) <- (if I.eval_cond c regs.(a) regs.(b) then 1 else 0);
       cpu.pc <- next
     | I.Load (rd, rs, off) ->
-      Mstats.note_load stats;
+      note_load stats;
       regs.(rd) <- ops.load (regs.(rs) + off);
       cpu.pc <- next
     | I.Load_abs (rd, addr) ->
-      Mstats.note_load stats;
+      note_load stats;
       regs.(rd) <- ops.load addr;
       cpu.pc <- next
     | I.Store (rv, rs, off) ->
-      Mstats.note_store stats;
+      note_store stats;
       ops.store (regs.(rs) + off) regs.(rv);
       cpu.pc <- next
     | I.Store_abs (rv, addr) ->
-      Mstats.note_store stats;
+      note_store stats;
       ops.store addr regs.(rv);
       cpu.pc <- next
     | I.Br (c, a, b, target) ->

@@ -7,9 +7,10 @@
     in every configuration, so fetch cost is common mode.
 
     Costing convention: the machine owns an {!Acc.t}; {!step} zeroes it,
-    memory ops {!Acc.charge} their extra cost into it (computing any
-    composite internally so float grouping matches the legacy [Cost.t]
-    chains bit-for-bit), and [step] finalizes base + stall power in
+    memory ops add their extra cost into its [ns]/[joules] fields in
+    place ([a.ns <- a.ns +. x], with any composite [x] computed so float
+    grouping matches the legacy [Cost.t] chains bit-for-bit), and [step]
+    finalizes base + stall power in
     place.  The accumulator also carries the simulation clock and the
     finalization constants, so no float value crosses a function
     boundary on the hot path: callers write [Acc.now] before stepping
@@ -35,9 +36,6 @@ module Acc : sig
 
   val set_rates : t -> Sweep_energy.Energy_config.t -> unit
   (** Install the per-cycle base cost constants. *)
-
-  val charge : t -> ns:float -> joules:float -> unit
-  (** Add extra memory-path cost to the current step. *)
 end
 
 type mem_ops = {

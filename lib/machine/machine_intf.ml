@@ -62,7 +62,6 @@ end
 
 type packed = Packed : (module S with type t = 'a) * 'a -> packed
 
-let name (Packed ((module M), _)) = M.name
 let step (Packed ((module M), t)) = M.step t
 let acc (Packed ((module M), t)) = M.acc t
 let halted (Packed ((module M), t)) = M.halted t

@@ -59,16 +59,6 @@ let create () =
     cur_region_stores = 0;
   }
 
-let note_instr t =
-  t.instructions <- t.instructions + 1;
-  t.cur_region_instrs <- t.cur_region_instrs + 1
-
-let note_load t = t.loads <- t.loads + 1
-
-let note_store t =
-  t.stores <- t.stores + 1;
-  t.cur_region_stores <- t.cur_region_stores + 1
-
 let note_region_end t =
   t.regions <- t.regions + 1;
   let size = min t.cur_region_instrs size_cap in

@@ -13,6 +13,11 @@ type floats = {
 }
 (** All-float (flat) so hot-path writes never box. *)
 
+(** Concrete so {!Exec.step} bumps the per-instruction counters
+    ([instructions], [loads], [stores] and the current region's
+    [cur_region_instrs]/[cur_region_stores]) in place: in the default
+    [-opaque] build a helper here would be a real call per
+    instruction. *)
 type t = {
   mutable instructions : int;
   mutable loads : int;
@@ -33,10 +38,6 @@ type t = {
 }
 
 val create : unit -> t
-
-val note_instr : t -> unit
-val note_load : t -> unit
-val note_store : t -> unit
 
 val note_region_end : t -> unit
 (** Records the current region's size/store count in the histograms and

@@ -48,25 +48,49 @@ let size_bytes t = t.set_count * t.assoc * Layout.line_bytes
 let assoc t = t.assoc
 let line_count t = t.set_count * t.assoc
 
-let set_base t addr =
-  let s = Layout.line_base addr / Layout.line_bytes in
+(* Literal copies of [Layout]'s line geometry for the access path.
+   Under [-opaque] a constant from another unit is a memory load, a
+   division by it is a hardware divide and [Layout.line_base] is a real
+   call; spelled out here they fold into shifts and masks.  Checked
+   against [Layout] once, when the module initialises. *)
+let line_shift = 6
+let word_shift = 2
+let line_base_mask = lnot ((1 lsl line_shift) - 1)
+let slot_shift = line_shift - word_shift
+
+let () =
+  assert (Layout.line_bytes = 1 lsl line_shift);
+  assert (Layout.word_bytes = 1 lsl word_shift);
+  assert (Layout.words_per_line = 1 lsl slot_shift)
+
+(* [asr], not [lsr]: the dividend is a multiple of the line size, so
+   this is exact division by [Layout.line_bytes], negative addresses
+   included. *)
+let[@inline] set_base t addr =
+  let s = (addr land line_base_mask) asr line_shift in
   (if t.set_mask >= 0 then s land t.set_mask else s mod t.set_count) * t.assoc
 
 let no_line = -1
 
-(* Top-level recursion: a local [let rec] closure would allocate on
-   every access. *)
-let rec scan_set valid bases base i last =
-  if i > last then no_line
-  else if
-    Array.unsafe_get valid i = 1 && Array.unsafe_get bases i = base
-  then i
-  else scan_set valid bases base (i + 1) last
+(* The resident line holding [addr], or [no_line].  A loop over
+   non-escaping refs, so it compiles to registers and allocates
+   nothing. *)
+let[@inline] scan t addr =
+  let base = addr land line_base_mask in
+  let i = ref (set_base t addr) in
+  let last = !i + t.assoc - 1 in
+  let found = ref no_line in
+  while !i <= last do
+    if Array.unsafe_get t.valid !i = 1 && Array.unsafe_get t.base !i = base
+    then begin
+      found := !i;
+      i := last + 1
+    end
+    else incr i
+  done;
+  !found
 
-let find t addr =
-  let base = Layout.line_base addr in
-  let s = set_base t addr in
-  scan_set t.valid t.base base s (s + t.assoc - 1)
+let find t addr = scan t addr
 
 let touch t li =
   t.clock <- t.clock + 1;
@@ -113,7 +137,7 @@ let install_victim t li addr =
   t.valid.(li) <- 1;
   t.dirty.(li) <- 0;
   t.dirty_region.(li) <- -1;
-  t.base.(li) <- Layout.line_base addr;
+  t.base.(li) <- addr land line_base_mask;
   touch t li
 
 let install t addr line_data =
@@ -144,7 +168,7 @@ let word_index t li addr =
     assert (off >= 0 && off < Layout.line_bytes);
     assert (addr land (Layout.word_bytes - 1) = 0)
   end;
-  (li * Layout.words_per_line) + (off / Layout.word_bytes)
+  (li lsl slot_shift) + (off asr word_shift)
 
 let read_word t li addr = t.data.(word_index t li addr)
 let write_word t li addr v = t.data.(word_index t li addr) <- v
@@ -177,13 +201,23 @@ module Metrics = Sweep_obs.Metrics
 let m_hits = Metrics.counter "cache.hits"
 let m_misses = Metrics.counter "cache.misses"
 
-let record_hit t =
-  t.hits <- t.hits + 1;
-  if Metrics.enabled () then Metrics.inc m_hits
-
 let record_miss t =
   t.misses <- t.misses + 1;
   if Metrics.enabled () then Metrics.inc m_misses
+
+(* The whole hit path in one call: [find], then on a hit the hit count
+   and [touch], in that order; the caller gets the word's slot in
+   [data] rather than the line, so it does no line arithmetic. *)
+let probe t addr =
+  let li = scan t addr in
+  if li = no_line then no_line
+  else begin
+    t.hits <- t.hits + 1;
+    if Metrics.switch.Metrics.on then Metrics.inc m_hits;
+    t.clock <- t.clock + 1;
+    Array.unsafe_set t.lru li t.clock;
+    (li lsl slot_shift) lor ((addr land lnot line_base_mask) lsr word_shift)
+  end
 
 let hits t = t.hits
 let misses t = t.misses

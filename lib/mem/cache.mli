@@ -15,7 +15,26 @@
     Power failure wipes the cache ({!invalidate_all}); NVSRAM restores it
     from its nonvolatile counterpart by re-installing saved lines. *)
 
-type t
+type t = private {
+  set_count : int;
+  set_mask : int;  (** [set_count - 1] for a power-of-two set count, else -1 *)
+  assoc : int;
+  valid : int array;         (** 0/1 per line *)
+  dirty : int array;         (** 0/1 per line *)
+  dirty_region : int array;  (** region id of the dirtying store; -1 clean *)
+  base : int array;          (** line-aligned byte address per line *)
+  lru : int array;           (** bigger = more recently used *)
+  data : int array;  (** [line_count * 16] words, line by line *)
+  mutable clock : int;
+  mutable hits : int;
+  mutable misses : int;
+}
+(** Readable so the cycle loop and the designs' hit paths load fields
+    instead of calling accessors (each one a real call in the default
+    [-opaque] build); [private] so every write, metadata and counters
+    alike, stays in this module.  The one exception is the word slot
+    {!probe} returns, which a design reads or writes in [data]
+    directly. *)
 
 val create : size_bytes:int -> assoc:int -> t
 (** [create ~size_bytes ~assoc]; [size_bytes] must be a multiple of
@@ -31,11 +50,21 @@ val no_line : int
 
 val find : t -> int -> int
 (** [find t addr] returns the index of the line containing [addr], or
-    {!no_line} (does not touch LRU or hit counters — use
-    {!record_hit}/{!record_miss}). *)
+    {!no_line}.  Touches neither the LRU state nor the hit counter: the
+    access path uses {!probe}. *)
 
 val touch : t -> int -> unit
 (** Mark a line most-recently-used. *)
+
+val probe : t -> int -> int
+(** [probe t addr] is the hit path in one call: {!find}, and on a hit
+    one count in {!hits} (and the [cache.hits] metric) then {!touch}.
+    Returns the slot of [addr]'s word in [data] (its line is
+    [slot lsr slot_shift]), or {!no_line} on a miss with nothing
+    recorded: the caller's miss path calls {!record_miss}. *)
+
+val slot_shift : int
+(** log2 of the words per line. *)
 
 val victim : t -> int -> int
 (** The line to (re)use for a fill of [addr]'s set: an invalid way if one
@@ -99,7 +128,6 @@ val clean_all : t -> unit
 (** Reset every dirty bit without touching data (SweepCache's post-flush
     state: "flushed data still remain in the cache", §4.2). *)
 
-val record_hit : t -> unit
 val record_miss : t -> unit
 val hits : t -> int
 val misses : t -> int

@@ -34,6 +34,11 @@ let page_mask = page_words - 1
 let word_count = Layout.nvm_bytes / Layout.word_bytes
 let page_count = word_count / page_words
 
+(* [Layout.word_bytes] as a literal shift: under [-opaque] the constant
+   is a load from another unit, and every access would divide by it. *)
+let word_shift = 2
+let () = assert (Layout.word_bytes = 1 lsl word_shift)
+
 let new_page () =
   let p = Bigarray.Array1.create Bigarray.int Bigarray.c_layout page_words in
   Bigarray.Array1.fill p 0;
@@ -65,18 +70,25 @@ let[@inline] writable_page t w =
   let p = Array.unsafe_get t.pages i in
   if p != zero_page then p else touch_page t i
 
-let check_word_addr addr =
+(* Address checks: the test inlines into every accessor, the message
+   formatting stays on a never-inlined cold path. *)
+let[@inline never] bad_word_addr addr =
   if addr land (Layout.word_bytes - 1) <> 0 then
-    invalid_arg (Printf.sprintf "Nvm: unaligned word address %#x" addr);
-  if addr < 0 || addr >= Layout.nvm_bytes then
-    invalid_arg (Printf.sprintf "Nvm: address %#x out of range" addr)
+    invalid_arg (Printf.sprintf "Nvm: unaligned word address %#x" addr)
+  else invalid_arg (Printf.sprintf "Nvm: address %#x out of range" addr)
+
+let[@inline] check_word_addr addr =
+  if
+    addr land ((1 lsl word_shift) - 1) <> 0
+    || addr < 0 || addr >= Layout.nvm_bytes
+  then bad_word_addr addr
 
 (* After [check_word_addr]/[check_line_addr] the word index is provably
    inside [word_count], so the page index is inside [page_count] and
    the accessors skip both bounds checks.  A line is line-aligned and a
    page is a whole number of lines, so a line never straddles pages. *)
 
-let get t w =
+let[@inline] get t w =
   Bigarray.Array1.unsafe_get
     (Array.unsafe_get t.pages (w lsr page_shift))
     (w land page_mask)
@@ -84,32 +96,38 @@ let get t w =
 let read_word t addr =
   check_word_addr addr;
   t.read_events <- t.read_events + 1;
-  get t (addr / Layout.word_bytes)
+  get t (addr lsr word_shift)
 
 let write_word t addr v =
   check_word_addr addr;
   t.write_events <- t.write_events + 1;
   t.bytes_written <- t.bytes_written + Layout.word_bytes;
-  let w = addr / Layout.word_bytes in
+  let w = addr lsr word_shift in
   Bigarray.Array1.unsafe_set (writable_page t w) (w land page_mask) v
 
-let check_line_addr base =
+let[@inline never] bad_line_addr base =
   if base land (Layout.line_bytes - 1) <> 0 then
-    invalid_arg (Printf.sprintf "Nvm: unaligned line address %#x" base);
-  if base < 0 || base + Layout.line_bytes > Layout.nvm_bytes then
-    invalid_arg (Printf.sprintf "Nvm: line %#x out of range" base)
+    invalid_arg (Printf.sprintf "Nvm: unaligned line address %#x" base)
+  else invalid_arg (Printf.sprintf "Nvm: line %#x out of range" base)
+
+let[@inline] check_line_addr base =
+  if
+    base land (Layout.line_bytes - 1) <> 0
+    || base < 0
+    || base + Layout.line_bytes > Layout.nvm_bytes
+  then bad_line_addr base
 
 let read_line t base =
   check_line_addr base;
   t.read_events <- t.read_events + 1;
-  let w = base / Layout.word_bytes in
+  let w = base lsr word_shift in
   let p = Array.unsafe_get t.pages (w lsr page_shift) and o = w land page_mask in
   Array.init Layout.words_per_line (fun k -> Bigarray.Array1.unsafe_get p (o + k))
 
 let read_line_into t base ~dst ~dst_pos =
   check_line_addr base;
   t.read_events <- t.read_events + 1;
-  let w = base / Layout.word_bytes in
+  let w = base lsr word_shift in
   let p = Array.unsafe_get t.pages (w lsr page_shift) and o = w land page_mask in
   for k = 0 to Layout.words_per_line - 1 do
     dst.(dst_pos + k) <- Bigarray.Array1.unsafe_get p (o + k)
@@ -120,7 +138,7 @@ let write_line t base data =
   assert (Array.length data = Layout.words_per_line);
   t.write_events <- t.write_events + 1;
   t.bytes_written <- t.bytes_written + Layout.line_bytes;
-  let w = base / Layout.word_bytes in
+  let w = base lsr word_shift in
   let p = writable_page t w and o = w land page_mask in
   for k = 0 to Layout.words_per_line - 1 do
     Bigarray.Array1.unsafe_set p (o + k) data.(k)
@@ -130,7 +148,7 @@ let write_line_from t base ~src ~src_pos =
   check_line_addr base;
   t.write_events <- t.write_events + 1;
   t.bytes_written <- t.bytes_written + Layout.line_bytes;
-  let w = base / Layout.word_bytes in
+  let w = base lsr word_shift in
   let p = writable_page t w and o = w land page_mask in
   for k = 0 to Layout.words_per_line - 1 do
     Bigarray.Array1.unsafe_set p (o + k) src.(src_pos + k)
@@ -143,7 +161,7 @@ let write_line_torn t base data ~words =
     invalid_arg "Nvm.write_line_torn: words must be in (0, words_per_line)";
   t.write_events <- t.write_events + 1;
   t.bytes_written <- t.bytes_written + (words * Layout.word_bytes);
-  let w = base / Layout.word_bytes in
+  let w = base lsr word_shift in
   let p = writable_page t w and o = w land page_mask in
   for k = 0 to words - 1 do
     Bigarray.Array1.unsafe_set p (o + k) data.(k)
@@ -151,11 +169,11 @@ let write_line_torn t base data ~words =
 
 let peek_word t addr =
   check_word_addr addr;
-  get t (addr / Layout.word_bytes)
+  get t (addr lsr word_shift)
 
 let poke_word t addr v =
   check_word_addr addr;
-  let w = addr / Layout.word_bytes in
+  let w = addr lsr word_shift in
   Bigarray.Array1.unsafe_set (writable_page t w) (w land page_mask) v
 
 let read_events t = t.read_events

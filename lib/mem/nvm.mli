@@ -9,7 +9,18 @@
     word store from a cache-free NVP and a 64-byte line write-back both
     count as one event, as in the paper's NVM-write comparison. *)
 
-type t
+type page = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type t = private {
+  pages : page array;
+  mutable resident : int;
+  mutable read_events : int;
+  mutable write_events : int;
+  mutable bytes_written : int;
+}
+(** Readable so the cycle loop loads the event counters instead of
+    calling {!write_events} (a real call in the default [-opaque]
+    build); [private] so every write stays in this module. *)
 
 val create : unit -> t
 (** Fresh zeroed NVM of {!Sweep_isa.Layout.nvm_bytes}, in O(pages) time

@@ -22,9 +22,11 @@ type instrument = C of counter | G of gauge | H of histogram
 let lock = Mutex.create ()
 let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
 
-let enabled_flag = ref false
-let set_enabled b = enabled_flag := b
-let enabled () = !enabled_flag
+type switch = { mutable on : bool }
+
+let switch = { on = false }
+let set_enabled b = switch.on <- b
+let enabled () = switch.on
 
 let canonical name labels =
   match labels with

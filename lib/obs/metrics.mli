@@ -17,6 +17,14 @@ type histogram
 val set_enabled : bool -> unit
 val enabled : unit -> bool
 
+type switch = private { mutable on : bool }
+
+val switch : switch
+(** The flag behind {!enabled}, as a field load: a check made on every
+    simulated memory access ([Sweep_mem.Cache.probe]) reads [switch.on],
+    because calling {!enabled} there is a real call in the default
+    [-opaque] build. *)
+
 val counter : ?labels:(string * string) list -> string -> counter
 val gauge : ?labels:(string * string) list -> string -> gauge
 

@@ -65,18 +65,28 @@ let ns_to_s ns = ns *. 1.0e-9
 (* ------------------------------------------------------------------ *)
 (* Fault-trigger bookkeeping shared by both power modes.  [watch]
    attaches a Sink spy for event triggers (sequential runs only) and
-   returns a detach closure; [should_fire] is checked once per
-   completed instruction. *)
+   returns a detach closure; [fault_due] is checked once per completed
+   instruction. *)
 
 type fault_watch = {
   fault : Fault.t option;
+  fire_at : int;
+      (* The instruction count an [At_instruction] plan fires at;
+         [max_int] for any other plan, or none. *)
   mutable fired : bool;
   mutable event_pending : bool;
   mutable detach : (unit -> unit) option;
 }
 
 let watch_fault fault =
-  let w = { fault; fired = false; event_pending = false; detach = None } in
+  let fire_at =
+    match fault with
+    | Some { Fault.trigger = Fault.At_instruction n; _ } -> n
+    | Some _ | None -> max_int
+  in
+  let w =
+    { fault; fire_at; fired = false; event_pending = false; detach = None }
+  in
   (match fault with
   | Some { Fault.trigger = Fault.At_event { tag; nth }; _ } ->
     let hits = ref 0 in
@@ -95,15 +105,11 @@ let unwatch_fault w =
   Option.iter (fun d -> d ()) w.detach;
   w.detach <- None
 
-let fault_to_fire w ~instructions =
-  if w.fired then None
-  else
-    match w.fault with
-    | None -> None
-    | Some f -> (
-      match f.Fault.trigger with
-      | Fault.At_instruction n -> if instructions >= n then Some f else None
-      | Fault.At_event _ -> if w.event_pending then Some f else None)
+(* Two int compares and a flag test, inlined into both cycle loops: an
+   instruction plan is due once its count is reached, an event plan
+   once its spy has seen the [nth] event. *)
+let[@inline] fault_due w ~instructions =
+  (instructions >= w.fire_at || w.event_pending) && not w.fired
 
 (* ------------------------------------------------------------------ *)
 
@@ -116,15 +122,20 @@ type utotals = {
   mutable u_restore_joules : float;
 }
 
-let run_unlimited ?(max_instructions = 500_000_000) ?sim_budget_ns ?fault
-    ?after_recovery ?heartbeat ?attrib m =
+(* Both cycle loops take the design unpacked: [D.step]/[D.halted] are
+   then one indirect call each, with no [Machine_intf] wrapper in
+   between, and the counters the attribution reads ([Nvm.t], [Cache.t],
+   [Mstats.t]) are field loads.  See DESIGN.md, "Hot-path rule". *)
+let run_unlimited (type a) ?(max_instructions = 500_000_000) ?sim_budget_ns
+    ?fault ?after_recovery ?heartbeat ?attrib (module D : M.S with type t = a)
+    (m : a) =
   let tt = { u_now = 0.0; u_joules = 0.0; u_restore_joules = 0.0 } in
-  let acc = M.acc m in
+  let acc = D.acc m in
   let at = match attrib with Some a -> a | None -> Attrib.disabled () in
-  let cpu = M.cpu m in
-  let nvm = M.nvm m in
-  let mst = M.mstats m in
-  let acache = match M.cache m with Some c -> c | None -> dummy_cache () in
+  let cpu = D.cpu m in
+  let nvm = D.nvm m in
+  let mst = D.mstats m in
+  let acache = match D.cache m with Some c -> c | None -> dummy_cache () in
   let instructions = ref 0 in
   let outages = ref 0 in
   let injected = ref 0 in
@@ -141,38 +152,38 @@ let run_unlimited ?(max_instructions = 500_000_000) ?sim_budget_ns ?fault
     incr injected;
     incr outages;
     let pc0 = cpu.Cpu.pc in
-    let w0 = Nvm.write_events nvm in
-    let mi0 = Cache.misses acache in
+    let w0 = nvm.Nvm.write_events in
+    let mi0 = acache.Cache.misses in
     (* A JIT design never dies without its banked backup (the backup
        threshold sits above Vmin), so an adversarial crash still finds
        a fresh checkpoint: commit one at the crash point. *)
-    if M.jit_backup_cost m <> None then begin
-      M.commit_jit_backup m ~now_ns:tt.u_now;
+    if D.jit_backup_cost m <> None then begin
+      D.commit_jit_backup m ~now_ns:tt.u_now;
       Attrib.note_commit at
     end;
     if Sink.on () then begin
       Sink.emit ~ns:tt.u_now (Ev.Fault_inject { trigger; detail });
       Sink.emit ~ns:tt.u_now (Ev.Power_down { volts = 0.0 })
     end;
-    M.on_power_failure m ~now_ns:tt.u_now;
+    D.on_power_failure m ~now_ns:tt.u_now;
     let discarded = Attrib.note_crash at ~pc:pc0 in
     if Sink.on () then begin
       Sink.emit ~ns:tt.u_now (Ev.Reexec { discarded });
       Sink.emit ~ns:tt.u_now (Ev.Reboot { outage = !outages })
     end;
-    let c = M.on_reboot m ~now_ns:tt.u_now in
+    let c = D.on_reboot m ~now_ns:tt.u_now in
     tt.u_now <- tt.u_now +. c.Cost.ns;
     tt.u_restore_joules <- tt.u_restore_joules +. c.Cost.joules;
     Attrib.note_cold at ~pc:pc0
-      ~nvm_writes:(Nvm.write_events nvm - w0)
-      ~cache_misses:(Cache.misses acache - mi0)
+      ~nvm_writes:(nvm.Nvm.write_events - w0)
+      ~cache_misses:(acache.Cache.misses - mi0)
       ~ns:c.Cost.ns ~restore_joules:c.Cost.joules ();
     if Sink.on () then
       Sink.emit ~ns:tt.u_now (Ev.Restore { joules = c.Cost.joules });
     match after_recovery with Some f -> f ~now_ns:tt.u_now | None -> ()
   in
   while
-    (not (M.halted m)) && !instructions < max_instructions
+    (not (D.halted m)) && !instructions < max_instructions
     && tt.u_now <= budget
   do
     (* Attribution pre-reads: the PC about to execute and the
@@ -181,12 +192,12 @@ let run_unlimited ?(max_instructions = 500_000_000) ?sim_budget_ns ?fault
        in a register (cmmgen unboxes float lets whose uses are float
        ops — same discipline as the loop totals below). *)
     let pc = cpu.Cpu.pc in
-    let w0 = Nvm.write_events nvm in
-    let mi0 = Cache.misses acache in
+    let w0 = nvm.Nvm.write_events in
+    let mi0 = acache.Cache.misses in
     let st0 = mst.Mstats.f.Mstats.wait_ns +. mst.Mstats.f.Mstats.waw_stall_ns in
     let rg0 = mst.Mstats.regions in
     acc.Exec.Acc.now <- tt.u_now;
-    M.step m;
+    D.step m;
     tt.u_now <- tt.u_now +. acc.Exec.Acc.ns;
     tt.u_joules <- tt.u_joules +. acc.Exec.Acc.joules;
     incr instructions;
@@ -201,9 +212,9 @@ let run_unlimited ?(max_instructions = 500_000_000) ?sim_budget_ns ?fault
     Array.unsafe_set at.Attrib.joules i
       (Array.unsafe_get at.Attrib.joules i +. acc.Exec.Acc.joules);
     Array.unsafe_set at.Attrib.nvm_writes i
-      (Array.unsafe_get at.Attrib.nvm_writes i + (Nvm.write_events nvm - w0));
+      (Array.unsafe_get at.Attrib.nvm_writes i + (nvm.Nvm.write_events - w0));
     Array.unsafe_set at.Attrib.cache_misses i
-      (Array.unsafe_get at.Attrib.cache_misses i + (Cache.misses acache - mi0));
+      (Array.unsafe_get at.Attrib.cache_misses i + (acache.Cache.misses - mi0));
     Array.unsafe_set at.Attrib.stall_ns i
       (Array.unsafe_get at.Attrib.stall_ns i
       +. (mst.Mstats.f.Mstats.wait_ns +. mst.Mstats.f.Mstats.waw_stall_ns -. st0
@@ -220,18 +231,19 @@ let run_unlimited ?(max_instructions = 500_000_000) ?sim_budget_ns ?fault
     hb.Hb.countdown <- hb.Hb.countdown - 1;
     if hb.Hb.countdown <= 0 then
       Hb.fire hb ~sim_ns:tt.u_now ~instructions:!instructions
-        ~reboots:!outages ~nvm_writes:(Nvm.write_events nvm);
-    match fault_to_fire w ~instructions:!instructions with
-    | Some f ->
-      w.fired <- true;
-      crash ~trigger:(Fault.trigger_kind f.Fault.trigger)
-        ~detail:(Fault.describe f);
-      for _ = 1 to f.Fault.nested do
-        crash ~trigger:"nested" ~detail:(Fault.describe f)
-      done
-    | None -> ()
+        ~reboots:!outages ~nvm_writes:nvm.Nvm.write_events;
+    if fault_due w ~instructions:!instructions then
+      match w.fault with
+      | Some f ->
+        w.fired <- true;
+        crash ~trigger:(Fault.trigger_kind f.Fault.trigger)
+          ~detail:(Fault.describe f);
+        for _ = 1 to f.Fault.nested do
+          crash ~trigger:"nested" ~detail:(Fault.describe f)
+        done
+      | None -> ()
   done;
-  let completed = M.halted m in
+  let completed = D.halted m in
   (* Running out of the simulated-time budget is a graceful partial
      stop (the early-stop path); only the instruction guard is an
      error.  A partial machine is left undrained. *)
@@ -239,12 +251,12 @@ let run_unlimited ?(max_instructions = 500_000_000) ?sim_budget_ns ?fault
     raise (Stagnation "instruction guard exceeded without Halt");
   if completed then begin
     let pc0 = cpu.Cpu.pc in
-    let w0 = Nvm.write_events nvm in
-    let d = M.drain m ~now_ns:tt.u_now in
+    let w0 = nvm.Nvm.write_events in
+    let d = D.drain m ~now_ns:tt.u_now in
     tt.u_now <- tt.u_now +. d.Cost.ns;
     tt.u_joules <- tt.u_joules +. d.Cost.joules;
     Attrib.note_cold at ~pc:pc0
-      ~nvm_writes:(Nvm.write_events nvm - w0)
+      ~nvm_writes:(nvm.Nvm.write_events - w0)
       ~ns:d.Cost.ns ~joules:d.Cost.joules ()
   end;
   {
@@ -291,8 +303,9 @@ type harv_totals = {
          bound just forces a recompute. *)
 }
 
-type harv_state = {
-  m : M.packed;
+type 'a harv_state = {
+  d : (module M.S with type t = 'a);
+  m : 'a;
   trace : Trace.t;
   cap : Capacitor.t;
   det : Detector.t;
@@ -371,14 +384,15 @@ let propagation_delay s ns state =
 (* Power-down / charge / reboot sequence shared by JIT stops, hard
    deaths and injected faults.  [after_recovery] (the differential
    checker's hook) observes the machine right after every recovery. *)
-let power_cycle ?after_recovery s ~max_off_s =
+let power_cycle (type a) ?after_recovery (s : a harv_state) ~max_off_s =
+  let module D = (val s.d : M.S with type t = a) in
   s.outages <- s.outages + 1;
-  let pc0 = (M.cpu s.m).Cpu.pc in
-  let w0 = Nvm.write_events (M.nvm s.m) in
-  let mi0 = match M.cache s.m with Some c -> Cache.misses c | None -> 0 in
+  let pc0 = (D.cpu s.m).Cpu.pc in
+  let w0 = Nvm.write_events (D.nvm s.m) in
+  let mi0 = match D.cache s.m with Some c -> Cache.misses c | None -> 0 in
   if Sink.on () then
     Sink.emit ~ns:s.f.now (Ev.Power_down { volts = Capacitor.voltage s.cap });
-  M.on_power_failure s.m ~now_ns:s.f.now;
+  D.on_power_failure s.m ~now_ns:s.f.now;
   let discarded = Attrib.note_crash s.at ~pc:pc0 in
   if Sink.on () then Sink.emit ~ns:s.f.now (Ev.Reexec { discarded });
   charge_until s s.det.Detector.v_restore ~max_off_s;
@@ -387,12 +401,12 @@ let power_cycle ?after_recovery s ~max_off_s =
     Sink.emit ~ns:s.f.now (Ev.Reboot { outage = s.outages });
     Sink.emit ~ns:s.f.now (Ev.Voltage { volts = Capacitor.voltage s.cap })
   end;
-  let c = M.on_reboot s.m ~now_ns:s.f.now in
+  let c = D.on_reboot s.m ~now_ns:s.f.now in
   Capacitor.consume s.cap c.Cost.joules;
   s.f.restore_joules <- s.f.restore_joules +. c.Cost.joules;
-  let mi1 = match M.cache s.m with Some c -> Cache.misses c | None -> 0 in
+  let mi1 = match D.cache s.m with Some c -> Cache.misses c | None -> 0 in
   Attrib.note_cold s.at ~pc:pc0
-    ~nvm_writes:(Nvm.write_events (M.nvm s.m) - w0)
+    ~nvm_writes:(Nvm.write_events (D.nvm s.m) - w0)
     ~cache_misses:(mi1 - mi0) ~ns:c.Cost.ns ~restore_joules:c.Cost.joules ();
   if Sink.on () then
     Sink.emit ~ns:s.f.now (Ev.Restore { joules = c.Cost.joules });
@@ -400,27 +414,28 @@ let power_cycle ?after_recovery s ~max_off_s =
   s.backup_armed <- true;
   match after_recovery with Some f -> f ~now_ns:s.f.now | None -> ()
 
-let try_backup s v_min =
+let try_backup (type a) (s : a harv_state) v_min =
+  let module D = (val s.d : M.S with type t = a) in
   (* Detection propagation delay passes first (§2.2). *)
   propagation_delay s s.det.Detector.t_phl_ns `On;
-  match M.jit_backup_cost s.m with
+  match D.jit_backup_cost s.m with
   | None -> assert false
   | Some cost ->
     let available = Capacitor.usable_above s.cap v_min in
     if cost.Cost.joules <= available then begin
-      let pc0 = (M.cpu s.m).Cpu.pc in
-      let w0 = Nvm.write_events (M.nvm s.m) in
-      M.commit_jit_backup s.m ~now_ns:s.f.now;
+      let pc0 = (D.cpu s.m).Cpu.pc in
+      let w0 = Nvm.write_events (D.nvm s.m) in
+      D.commit_jit_backup s.m ~now_ns:s.f.now;
       Attrib.note_commit s.at;
       Attrib.note_cold s.at ~pc:pc0
-        ~nvm_writes:(Nvm.write_events (M.nvm s.m) - w0)
+        ~nvm_writes:(Nvm.write_events (D.nvm s.m) - w0)
         ~ns:cost.Cost.ns ~backup_joules:cost.Cost.joules ();
       Capacitor.consume s.cap cost.Cost.joules;
       s.f.backup_joules <- s.f.backup_joules +. cost.Cost.joules;
-      (M.mstats s.m).Mstats.backup_events <-
-        (M.mstats s.m).Mstats.backup_events + 1;
-      (M.mstats s.m).Mstats.f.Mstats.backup_joules <-
-        (M.mstats s.m).Mstats.f.Mstats.backup_joules +. cost.Cost.joules;
+      (D.mstats s.m).Mstats.backup_events <-
+        (D.mstats s.m).Mstats.backup_events + 1;
+      (D.mstats s.m).Mstats.f.Mstats.backup_joules <-
+        (D.mstats s.m).Mstats.f.Mstats.backup_joules +. cost.Cost.joules;
       pass_time_on s cost.Cost.ns;
       s.backups <- s.backups + 1;
       if Sink.on () then
@@ -434,12 +449,14 @@ let try_backup s v_min =
       false
     end
 
-let run_harvested ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0)
-    ?sim_budget_ns ?fault ?after_recovery ?heartbeat ?attrib m ~trace ~farads
-    ~v_max ~v_min =
-  let det = M.detector m in
+let run_harvested (type a) ?(max_instructions = 500_000_000)
+    ?(max_sim_s = 600.0) ?sim_budget_ns ?fault ?after_recovery ?heartbeat
+    ?attrib (module D : M.S with type t = a) (m : a) ~trace ~farads ~v_max
+    ~v_min =
+  let det = D.detector m in
   let s =
     {
+      d = (module D);
       m;
       trace;
       cap = Capacitor.create ~farads ~v_max ~v_min;
@@ -467,14 +484,14 @@ let run_harvested ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0)
       injected_faults = 0;
     }
   in
-  let acc = M.acc m in
+  let acc = D.acc m in
   let at = s.at in
-  let cpu = M.cpu m in
-  let nvm = M.nvm m in
-  let mst = M.mstats m in
-  let acache = match M.cache m with Some c -> c | None -> dummy_cache () in
+  let cpu = D.cpu m in
+  let nvm = D.nvm m in
+  let mst = D.mstats m in
+  let acache = match D.cache m with Some c -> c | None -> dummy_cache () in
   let max_off_s = 120.0 in
-  let has_jit = M.jit_backup_cost m <> None in
+  let has_jit = D.jit_backup_cost m <> None in
   (* Hot-loop flattening: the per-instruction block below does all its
      capacitor/trace arithmetic by direct field access on the flat
      [Capacitor.t] and the trace's hoisted base grid and factor.  Calling
@@ -509,23 +526,22 @@ let run_harvested ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0)
   let inject s f ~trigger =
     s.injected_faults <- s.injected_faults + 1;
     if has_jit then begin
-      match M.jit_backup_cost m with
+      match D.jit_backup_cost m with
       | Some cost ->
-        let pc0 = (M.cpu m).Cpu.pc in
-        let w0 = Nvm.write_events (M.nvm m) in
-        M.commit_jit_backup m ~now_ns:s.f.now;
+        let pc0 = cpu.Cpu.pc in
+        let w0 = nvm.Nvm.write_events in
+        D.commit_jit_backup m ~now_ns:s.f.now;
         Attrib.note_commit s.at;
         (* The inject path charges the backup's joules but not its ns
            (the outage swallows it); attribution mirrors that. *)
         Attrib.note_cold s.at ~pc:pc0
-          ~nvm_writes:(Nvm.write_events (M.nvm m) - w0)
+          ~nvm_writes:(nvm.Nvm.write_events - w0)
           ~backup_joules:cost.Cost.joules ();
         Capacitor.consume s.cap cost.Cost.joules;
         s.f.backup_joules <- s.f.backup_joules +. cost.Cost.joules;
-        (M.mstats m).Mstats.backup_events <-
-          (M.mstats m).Mstats.backup_events + 1;
-        (M.mstats m).Mstats.f.Mstats.backup_joules <-
-          (M.mstats m).Mstats.f.Mstats.backup_joules +. cost.Cost.joules;
+        mst.Mstats.backup_events <- mst.Mstats.backup_events + 1;
+        mst.Mstats.f.Mstats.backup_joules <-
+          mst.Mstats.f.Mstats.backup_joules +. cost.Cost.joules;
         s.backups <- s.backups + 1;
         if Sink.on () then
           Sink.emit ~ns:s.f.now
@@ -538,7 +554,7 @@ let run_harvested ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0)
     power_cycle ?after_recovery s ~max_off_s
   in
   Fun.protect ~finally:(fun () -> unwatch_fault w) @@ fun () ->
-  while (not (M.halted m)) && s.f.now <= budget do
+  while (not (D.halted m)) && s.f.now <= budget do
     if s.instructions > max_instructions then
       raise (Stagnation "instruction guard exceeded");
     if s.f.now *. 1.0e-9 > max_sim_s then
@@ -549,7 +565,7 @@ let run_harvested ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0)
     if has_jit && s.backup_armed && cap.Capacitor.energy < th_backup then begin
       s.backup_armed <- false;
       let ok = try_backup s v_min in
-      if M.continues_after_backup m && ok then
+      if D.continues_after_backup && ok then
         (* NvMR: keep running on the remaining charge. *)
         ()
       else
@@ -566,14 +582,14 @@ let run_harvested ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0)
     else begin
       (* Attribution pre-reads (see run_unlimited). *)
       let pc = cpu.Cpu.pc in
-      let w0 = Nvm.write_events nvm in
-      let mi0 = Cache.misses acache in
+      let w0 = nvm.Nvm.write_events in
+      let mi0 = acache.Cache.misses in
       let st0 =
         mst.Mstats.f.Mstats.wait_ns +. mst.Mstats.f.Mstats.waw_stall_ns
       in
       let rg0 = mst.Mstats.regions in
       acc.Exec.Acc.now <- s.f.now;
-      M.step m;
+      D.step m;
       let step_ns = acc.Exec.Acc.ns and step_joules = acc.Exec.Acc.joules in
       let i = pc land at.Attrib.mask in
       Array.unsafe_set at.Attrib.count i
@@ -583,10 +599,10 @@ let run_harvested ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0)
       Array.unsafe_set at.Attrib.joules i
         (Array.unsafe_get at.Attrib.joules i +. step_joules);
       Array.unsafe_set at.Attrib.nvm_writes i
-        (Array.unsafe_get at.Attrib.nvm_writes i + (Nvm.write_events nvm - w0));
+        (Array.unsafe_get at.Attrib.nvm_writes i + (nvm.Nvm.write_events - w0));
       Array.unsafe_set at.Attrib.cache_misses i
         (Array.unsafe_get at.Attrib.cache_misses i
-        + (Cache.misses acache - mi0));
+        + (acache.Cache.misses - mi0));
       Array.unsafe_set at.Attrib.stall_ns i
         (Array.unsafe_get at.Attrib.stall_ns i
         +. (mst.Mstats.f.Mstats.wait_ns
@@ -640,30 +656,32 @@ let run_harvested ?(max_instructions = 500_000_000) ?(max_sim_s = 600.0)
       hb.Hb.countdown <- hb.Hb.countdown - 1;
       if hb.Hb.countdown <= 0 then
         Hb.fire hb ~sim_ns:s.f.now ~instructions:s.instructions
-          ~reboots:s.outages ~nvm_writes:(Nvm.write_events nvm);
+          ~reboots:s.outages ~nvm_writes:nvm.Nvm.write_events;
       (* Sparse voltage samples while executing keep the counter track
-         legible without swamping the trace. *)
-      if Sink.on () && s.instructions mod 5_000 = 0 then
+         legible without swamping the trace (the modulus first, so the
+         [Sink.on] call is off the per-instruction path). *)
+      if s.instructions mod 5_000 = 0 && Sink.on () then
         Sink.emit ~ns:s.f.now (Ev.Voltage { volts = Capacitor.voltage s.cap });
-      match fault_to_fire w ~instructions:s.instructions with
-      | Some f ->
-        w.fired <- true;
-        inject s f ~trigger:(Fault.trigger_kind f.Fault.trigger);
-        for _ = 1 to f.Fault.nested do inject s f ~trigger:"nested" done
-      | None -> ()
+      if fault_due w ~instructions:s.instructions then
+        match w.fault with
+        | Some f ->
+          w.fired <- true;
+          inject s f ~trigger:(Fault.trigger_kind f.Fault.trigger);
+          for _ = 1 to f.Fault.nested do inject s f ~trigger:"nested" done
+        | None -> ()
     end
   done;
-  let completed = M.halted m in
+  let completed = D.halted m in
   (* A budget stop leaves the machine undrained: the outcome reports
      partial progress with [completed = false]. *)
   if completed then begin
     let pc0 = cpu.Cpu.pc in
-    let w0 = Nvm.write_events nvm in
-    let d = M.drain m ~now_ns:s.f.now in
+    let w0 = nvm.Nvm.write_events in
+    let d = D.drain m ~now_ns:s.f.now in
     Capacitor.consume s.cap d.Cost.joules;
     s.f.compute_joules <- s.f.compute_joules +. d.Cost.joules;
     Attrib.note_cold at ~pc:pc0
-      ~nvm_writes:(Nvm.write_events nvm - w0)
+      ~nvm_writes:(nvm.Nvm.write_events - w0)
       ~ns:d.Cost.ns ~joules:d.Cost.joules ();
     pass_time_on s d.Cost.ns
   end;
@@ -702,15 +720,15 @@ let publish_outcome ?(labels = []) (o : outcome) =
   end
 
 let run ?max_instructions ?max_sim_s ?sim_budget_ns ?fault ?after_recovery
-    ?heartbeat ?attrib m ~power =
+    ?heartbeat ?attrib (M.Packed (d, m)) ~power =
   let o =
     match power with
     | Unlimited ->
       run_unlimited ?max_instructions ?sim_budget_ns ?fault ?after_recovery
-        ?heartbeat ?attrib m
+        ?heartbeat ?attrib d m
     | Harvested { trace; capacitor_farads; v_max; v_min } ->
       run_harvested ?max_instructions ?max_sim_s ?sim_budget_ns ?fault
-        ?after_recovery ?heartbeat ?attrib m ~trace ~farads:capacitor_farads
+        ?after_recovery ?heartbeat ?attrib d m ~trace ~farads:capacitor_farads
         ~v_max ~v_min
   in
   publish_outcome o;

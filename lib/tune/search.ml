@@ -63,7 +63,7 @@ let m_pruned = Metrics.counter "tune.cells_pruned"
 let m_rounds = Metrics.counter "tune.rounds"
 let m_failed = Metrics.counter "tune.points_failed"
 let m_frontier = Metrics.gauge "tune.frontier_size"
-let wall_ns () = Unix.gettimeofday () *. 1e9
+let wall_ns () = Sweep_util.Clock.now_s () *. 1e9
 
 (* The ladder every strategy actually walks: [Halving] climbs the rungs,
    [Grid]/[Random] run the flattened ladder as a single rung.  Benches

@@ -57,9 +57,17 @@ let check_design design =
       (H.design_name design) per_instr big_words big_instrs small_words
       small_instrs
 
-let test_nvp_zero_alloc () = check_design H.Nvp
-let test_sweep_zero_alloc () = check_design H.Sweep
-let test_replay_zero_alloc () = check_design H.Replay
+(* Every design, by its short test name. *)
+let gated =
+  [
+    ("nvp", H.Nvp);
+    ("wt", H.Wt);
+    ("nvsram", H.Nvsram);
+    ("nvsram-e", H.Nvsram_e);
+    ("replay", H.Replay);
+    ("nvmr", H.Nvmr);
+    ("sweep", H.Sweep);
+  ]
 
 (* ---- harvested power: the jittered trace read path ---- *)
 
@@ -120,8 +128,9 @@ let suite =
       test_trace_read_zero_alloc;
     Alcotest.test_case "jittered run matches materialised trace" `Quick
       test_jittered_run_matches_materialised;
-    Alcotest.test_case "nvp hot loop alloc-free" `Slow test_nvp_zero_alloc;
-    Alcotest.test_case "sweep hot loop alloc-free" `Slow test_sweep_zero_alloc;
-    Alcotest.test_case "replay hot loop alloc-free" `Slow
-      test_replay_zero_alloc;
   ]
+  @ List.map
+      (fun (short, design) ->
+        Alcotest.test_case (short ^ " hot loop alloc-free") `Slow (fun () ->
+            check_design design))
+      gated

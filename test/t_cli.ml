@@ -173,6 +173,40 @@ let test_attrib_dir_up_front () =
   Sys.rmdir (Filename.dirname nested);
   Sys.rmdir root
 
+(* The binaries outside the run-flag substrate keep the same contract:
+   run as processes (test/dune depends on them), a usage error exits
+   64, not cmdliner's 124. *)
+let run_binary name args =
+  let exe =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; name ^ ".exe" ]
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Fun.protect ~finally:(fun () -> Unix.close null) (fun () ->
+        Unix.create_process exe (Array.of_list (exe :: args)) null null null)
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED n -> n
+  | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> -n
+
+let test_binaries_usage_exit () =
+  List.iter
+    (fun (name, args) ->
+      check Alcotest.int
+        (String.concat " " (name :: args) ^ ": exit 64")
+        Exit_code.usage (run_binary name args))
+    [
+      ("sweepsim", [ "--bogus-flag" ]);
+      ("sweepsim", [ "sha"; "--scale"; "abc" ]);
+      ("sweeptrace", [ "--bogus" ]);
+      ("sweeptrace", [ "report" ]);
+      ("sweepcheck", [ "--bogus" ]);
+      ("sweepcheck", [ "sweep"; "--max-points"; "abc" ]);
+      ("sweepcc", [ "--bogus" ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "run flag defaults" `Quick test_defaults;
@@ -184,4 +218,6 @@ let suite =
     Alcotest.test_case "protect exit paths" `Quick test_protect;
     Alcotest.test_case "attrib dir created up front" `Quick
       test_attrib_dir_up_front;
+    Alcotest.test_case "binaries exit 64 on usage errors" `Quick
+      test_binaries_usage_exit;
   ]

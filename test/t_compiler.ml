@@ -116,6 +116,24 @@ let test_initial_data_loaded () =
     check Alcotest.int "scalar" 14 out.(0)
   | _ -> Alcotest.fail "unexpected globals"
 
+(* A compiled program stays resident in the compile memo for the life of
+   the process, so its size is memory every job pays for.  jpegenc at
+   scale 4.0 is the largest input of perfbench's long-run workload, and
+   its initial data (two int arrays) is most of the program. *)
+let test_compiled_program_resident_size () =
+  let ast =
+    Sweep_workloads.Workload.program ~scale:4.0
+      (Sweep_workloads.Registry.find "jpegenc")
+  in
+  List.iter
+    (fun design ->
+      let c = H.compile design ast in
+      let words = Obj.reachable_words (Obj.repr c.Pipeline.program) in
+      if words >= 20_000 then
+        Alcotest.failf "%s jpegenc@4.0 program: %d resident words (>= 20k)"
+          (H.design_name design) words)
+    [ H.Nvp; H.Sweep ]
+
 (* Differential property: compiled code on the cache-free machine agrees
    with the reference interpreter for random programs. *)
 let consistent design prog =
@@ -160,6 +178,8 @@ let suite =
     Alcotest.test_case "unrolling toggles" `Quick test_unroll_off_changes_regions;
     Alcotest.test_case "globals metadata" `Quick test_globals_metadata;
     Alcotest.test_case "initial data loaded" `Quick test_initial_data_loaded;
+    Alcotest.test_case "compiled program resident size" `Quick
+      test_compiled_program_resident_size;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

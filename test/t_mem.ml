@@ -356,8 +356,15 @@ let test_cache_dirty_tracking () =
 
 let test_cache_counters () =
   let c = make_cache () in
-  Cache.record_hit c;
-  Cache.record_hit c;
+  let li = Cache.install c 0x2000 (Array.init 16 (fun i -> 100 + i)) in
+  (* [probe]: a hit is counted and returns the word's slot in [data]; a
+     miss counts nothing until the caller's [record_miss]. *)
+  let slot = Cache.probe c 0x200C in
+  check Alcotest.int "probe slot" (Cache.data_pos c li + 3) slot;
+  check Alcotest.int "slot holds the word" 103 (Cache.data c).(slot);
+  check Alcotest.int "line of the slot" li (slot lsr Cache.slot_shift);
+  ignore (Cache.probe c 0x2000);
+  check Alcotest.int "probe miss" Cache.no_line (Cache.probe c 0x4000);
   Cache.record_miss c;
   check Alcotest.int "hits" 2 (Cache.hits c);
   check Alcotest.int "misses" 1 (Cache.misses c);

@@ -225,6 +225,20 @@ let test_memo () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* Liveness and durations rely on it: successive readings never go
+   backwards, and time does pass. *)
+let test_clock_monotonic () =
+  let first = Sweep_util.Clock.now_s () in
+  let prev = ref first in
+  for _ = 1 to 100_000 do
+    let t = Sweep_util.Clock.now_s () in
+    if t < !prev then Alcotest.failf "clock went back: %.9f < %.9f" t !prev;
+    prev := t
+  done;
+  Unix.sleepf 0.002;
+  Alcotest.(check bool) "advances across a sleep" true
+    (Sweep_util.Clock.now_s () -. first >= 0.002)
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -247,5 +261,6 @@ let suite =
     Alcotest.test_case "float cell" `Quick test_float_cell;
     Alcotest.test_case "mkdir_p" `Quick test_mkdir_p;
     Alcotest.test_case "memo" `Quick test_memo;
+    Alcotest.test_case "clock never decreases" `Quick test_clock_monotonic;
   ]
   @ qsuite
